@@ -91,6 +91,17 @@ std::vector<Duration> CumulativeBudgetsFromWeights(const PipelineSpec& spec,
   return budgets;
 }
 
+std::vector<int> PlanInitialWorkers(const PipelineSpec& spec, const std::vector<int>& batch_sizes,
+                                    const RuntimeOptions& options, double expected_rate) {
+  if (options.fixed_workers.empty()) {
+    return PlanWorkers(spec, batch_sizes, expected_rate, options.provision_headroom,
+                       options.max_workers_per_module, options.total_gpus);
+  }
+  PARD_CHECK_MSG(static_cast<int>(options.fixed_workers.size()) == spec.NumModules(),
+                 "fixed_workers size must match module count");
+  return options.fixed_workers;
+}
+
 std::vector<Duration> CumulativeSplitBudgets(const PipelineSpec& spec,
                                              const std::vector<int>& batch_sizes) {
   const int n = spec.NumModules();

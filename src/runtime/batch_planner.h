@@ -11,6 +11,7 @@
 
 #include "models/model_profile.h"
 #include "pipeline/pipeline_spec.h"
+#include "runtime/runtime_options.h"
 
 namespace pard {
 
@@ -22,6 +23,12 @@ std::vector<int> PlanBatchSizes(const PipelineSpec& spec);
 // `total_gpus` (proportional scale-down when exceeded).
 std::vector<int> PlanWorkers(const PipelineSpec& spec, const std::vector<int>& batch_sizes,
                              double rate, double headroom, int max_per_module, int total_gpus);
+
+// A runtime's initial roster: options.fixed_workers when set (one entry per
+// module), else PlanWorkers for `expected_rate` with the options' headroom
+// and caps.
+std::vector<int> PlanInitialWorkers(const PipelineSpec& spec, const std::vector<int>& batch_sizes,
+                                    const RuntimeOptions& options, double expected_rate);
 
 // Cumulative per-module latency budgets from proportional SLO splitting
 // (Clipper++/PARD-split). For DAGs the proportion uses the longest-path

@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "obs/metrics.h"
-#include "obs/trace_recorder.h"
 #include "runtime/pipeline_runtime.h"
 
 namespace pard {
@@ -38,7 +37,6 @@ ModuleRuntime::ModuleRuntime(Simulation* sim, PipelineRuntime* pipeline, Backend
   }
   if (options_.metrics != nullptr) {
     const std::string prefix = "module.m" + std::to_string(spec_.id) + ".";
-    admitted_counter_ = options_.metrics->GetCounter(prefix + "admitted");
     executed_counter_ = options_.metrics->GetCounter(prefix + "executed");
     batch_size_hist_ = options_.metrics->GetHistogram(
         prefix + "batch_size", 0.0, static_cast<double>(batch_size_) + 1.0,
@@ -105,17 +103,7 @@ void ModuleRuntime::Receive(RequestPtr req) {
     OnPolicyDrop(std::move(req), DropReason::kFaultKilled);
     return;
   }
-  if (admitted_counter_ != nullptr) {
-    admitted_counter_->Add();
-  }
-  if (TraceRecorder* trace = pipeline_->trace(); trace != nullptr) {
-    TraceEvent ev;
-    ev.kind = TraceEventKind::kAdmit;
-    ev.module = spec_.id;
-    ev.request_id = req->id;
-    ev.ts = now;
-    trace->EmitSampled(ev);
-  }
+  pipeline_->lifecycle().NoteAdmitted(*req, spec_.id, now);
   worker->Enqueue(std::move(req));
 }
 
@@ -242,26 +230,17 @@ void ModuleRuntime::RetryOrDrop(RequestPtr req) {
     return;  // Resolved on another branch; nothing left to rescue.
   }
   const SimTime now = sim_->Now();
-  const ResilienceOptions& res = options_.resilience;
-  if (res.max_retries > 0) {
-    if (req->retry_count >= res.max_retries) {
-      OnPolicyDrop(std::move(req), DropReason::kRetryExhausted);
+  RequestLifecycle& lifecycle = pipeline_->lifecycle();
+  DropReason reason = lifecycle.RetryVerdict(*req, now, profile_.BatchDuration(batch_size_));
+  if (reason == DropReason::kNone) {
+    if (Worker* worker = ChooseWorker(); worker != nullptr) {
+      lifecycle.NoteRetry(*req, spec_.id, now);
+      worker->Enqueue(std::move(req));
       return;
     }
-    // Deadline-aware: re-enqueue only when the remaining budget could still
-    // cover this stage's batch duration.
-    if (req->RemainingBudget(now) > profile_.BatchDuration(batch_size_)) {
-      Worker* worker = ChooseWorker();
-      if (worker != nullptr) {
-        ++req->retry_count;
-        pipeline_->NoteRetry(*req, spec_.id, now);
-        worker->Enqueue(std::move(req));
-        return;
-      }
-      // No surviving dispatchable worker: the failure consumed the request.
-    }
+    reason = DropReason::kWorkerFailure;  // No surviving dispatchable worker.
   }
-  OnPolicyDrop(std::move(req), DropReason::kWorkerFailure);
+  OnPolicyDrop(std::move(req), reason);
 }
 
 void ModuleRuntime::FailWorkers(int count) {

@@ -67,12 +67,10 @@ class ModuleRuntime {
   // virtual time `until`. Later calls override earlier ones.
   void SetSlowdown(double factor, SimTime until);
 
-  // Deadline-aware retry for a failed worker's request: re-enqueue on a
-  // surviving worker (bounded by options.resilience.max_retries and the
-  // remaining deadline budget vs this stage's batch duration), else drop
-  // kRetryExhausted / kWorkerFailure. Mirrors ServeRuntime::RetryOrDrop —
-  // the serve analogue of a direct enqueue is ServeModule::Receive, so both
-  // substrates skip re-admission on the retry path.
+  // Deadline-aware retry for a failed worker's request: when
+  // RequestLifecycle::RetryVerdict allows it, re-enqueue directly on a
+  // surviving worker (no re-admission), else drop kRetryExhausted /
+  // kWorkerFailure.
   void RetryOrDrop(RequestPtr req);
 
   int module_id() const { return spec_.id; }
@@ -149,7 +147,6 @@ class ModuleRuntime {
   SimTime slow_until_ = 0;
 
   // Pre-resolved instruments (null when options_.metrics is null).
-  Counter* admitted_counter_ = nullptr;
   Counter* executed_counter_ = nullptr;
   AtomicHistogram* batch_size_hist_ = nullptr;
 };

@@ -1,7 +1,6 @@
 #include "runtime/pipeline_runtime.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "common/check.h"
@@ -13,36 +12,17 @@
 
 namespace pard {
 
-namespace {
-// Shared metric names with the serving runtime so dashboards read the same
-// keys regardless of substrate.
-std::string DropCounterName(DropReason reason) {
-  return std::string("fate.dropped.") + DropReasonName(reason);
-}
-}  // namespace
-
 PipelineRuntime::PipelineRuntime(const PipelineSpec& spec, const RuntimeOptions& options,
                                  DropPolicy* policy, double expected_rate)
     : spec_(spec),
       options_(options),
       policy_(policy),
       board_(spec.NumModules()),
-      rng_(options.seed),
+      lifecycle_(&spec_, options_),
       batch_sizes_(PlanBatchSizes(spec)),
       fleet_(spec_, options_.cold_start, options_.cost_aware_provisioning) {
   PARD_CHECK(policy_ != nullptr);
-  if (!options_.tenants.empty()) {
-    governor_ = std::make_unique<TenantGovernor>(options_.tenants, options_.seed);
-  }
-  std::vector<int> workers;
-  if (!options_.fixed_workers.empty()) {
-    PARD_CHECK_MSG(static_cast<int>(options_.fixed_workers.size()) == spec_.NumModules(),
-                   "fixed_workers size must match module count");
-    workers = options_.fixed_workers;
-  } else {
-    workers = PlanWorkers(spec_, batch_sizes_, expected_rate, options_.provision_headroom,
-                          options_.max_workers_per_module, options_.total_gpus);
-  }
+  const std::vector<int> workers = PlanInitialWorkers(spec_, batch_sizes_, options_, expected_rate);
   policy_->Bind(&spec_, &board_);
   for (const ModuleSpec& m : spec_.modules()) {
     modules_.push_back(std::make_unique<ModuleRuntime>(
@@ -50,39 +30,14 @@ PipelineRuntime::PipelineRuntime(const PipelineSpec& spec, const RuntimeOptions&
         batch_sizes_[static_cast<std::size_t>(m.id)], workers[static_cast<std::size_t>(m.id)],
         options_, policy_));
   }
-  if (options_.metrics != nullptr) {
-    completed_counter_ = options_.metrics->GetCounter("fate.completed");
-    for (int r = 1; r < kNumDropReasons; ++r) {
-      drop_reason_counters_[r] = options_.metrics->GetCounter(
-          DropCounterName(static_cast<DropReason>(r)));
-    }
-    retry_counter_ = options_.metrics->GetCounter("resilience.retries");
-    if (governor_ != nullptr) {
-      for (const TenantSpec& tenant : options_.tenants) {
-        tenant_completed_.push_back(
-            options_.metrics->GetCounter("tenant." + tenant.name + ".completed"));
-        tenant_dropped_.push_back(
-            options_.metrics->GetCounter("tenant." + tenant.name + ".dropped"));
-      }
-    }
-  }
   // Periodic control-plane ticks.
   sim_.ScheduleAfter(options_.sync_period, [this] { SyncTick(); });
   if (options_.enable_scaling) {
     sim_.ScheduleAfter(options_.scaling_epoch, [this] { ScalingTick(); });
   }
-  // Injected machine failures.
-  for (const RuntimeOptions::FailureEvent& failure : options_.failures) {
-    PARD_CHECK(failure.module_id >= 0 && failure.module_id < spec_.NumModules());
-    sim_.ScheduleAt(failure.at, [this, failure] {
-      modules_[static_cast<std::size_t>(failure.module_id)]->FailWorkers(failure.workers);
-    });
-  }
-  // Deterministic kill/recover fleet schedule (the serving runtime applies
-  // the identical schedule from its control thread).
-  for (const FleetEvent& event : options_.fleet_events) {
-    PARD_CHECK(event.module_id >= 0 && event.module_id < spec_.NumModules());
-    PARD_CHECK(event.count >= 1);
+  // Deterministic kill/recover fleet schedule and chaos timeline, the same
+  // ones the serving runtime applies from its control thread.
+  for (const FleetEvent& event : lifecycle_.fault_schedule()) {
     sim_.ScheduleAt(event.at, [this, event] {
       ModuleRuntime& m = *modules_[static_cast<std::size_t>(event.module_id)];
       if (event.kind == FleetEvent::Kind::kKill) {
@@ -90,30 +45,11 @@ PipelineRuntime::PipelineRuntime(const PipelineSpec& spec, const RuntimeOptions&
       } else {
         m.AddWorkers(event.count);
       }
-      if (options_.trace != nullptr) {
-        TraceEvent ev;
-        ev.kind = TraceEventKind::kFleet;
-        ev.module = event.module_id;
-        ev.ts = sim_.Now();
-        ev.arg0 = event.kind == FleetEvent::Kind::kKill ? 0 : 1;
-        ev.arg1 = event.count;
-        options_.trace->Emit(ev);
-      }
+      lifecycle_.NoteFleetEvent(event);
     });
   }
-  // Chaos schedule: probabilistic entries are expanded into concrete events
-  // from the run seed up front, so sim and serve apply an identical timeline.
-  PARD_CHECK(options_.resilience.max_retries >= 0);
-  for (const ChaosEvent& event :
-       ExpandChaosSchedule(options_.resilience.chaos, options_.seed)) {
-    if (event.kind != ChaosKind::kStallSync) {
-      PARD_CHECK_MSG(event.module_id >= 0 && event.module_id < spec_.NumModules(),
-                     "chaos event targets module " << event.module_id
-                                                   << " but the pipeline has "
-                                                   << spec_.NumModules() << " modules");
-    }
+  for (const ChaosEvent& event : lifecycle_.chaos_schedule()) {
     sim_.ScheduleAt(event.at, [this, event] {
-      const SimTime now = sim_.Now();
       switch (event.kind) {
         case ChaosKind::kHang:
           modules_[static_cast<std::size_t>(event.module_id)]->HangWorkers(event.count,
@@ -121,22 +57,13 @@ PipelineRuntime::PipelineRuntime(const PipelineSpec& spec, const RuntimeOptions&
           break;
         case ChaosKind::kSlow:
           modules_[static_cast<std::size_t>(event.module_id)]->SetSlowdown(
-              event.factor, now + event.duration);
+              event.factor, event.at + event.duration);
           break;
         case ChaosKind::kStallSync:
-          stall_until_ = std::max(stall_until_, now + event.duration);
+          stall_until_ = std::max(stall_until_, event.at + event.duration);
           break;
       }
-      if (options_.trace != nullptr) {
-        TraceEvent ev;
-        ev.kind = TraceEventKind::kChaos;
-        ev.module = event.module_id;
-        ev.ts = now;
-        ev.arg0 = static_cast<std::int64_t>(event.kind);
-        ev.arg1 = event.kind == ChaosKind::kHang ? event.count
-                                                 : static_cast<std::int64_t>(event.duration);
-        options_.trace->Emit(ev);
-      }
+      lifecycle_.NoteChaosEvent(event);
     });
   }
 }
@@ -153,26 +80,9 @@ void PipelineRuntime::ScheduleArrival(SimTime t) {
 
 void PipelineRuntime::Inject() {
   RequestPtr req = std::allocate_shared<Request>(ArenaAllocator<Request>(arena_));
-  req->id = next_request_id_++;
-  req->sent = sim_.Now();
-  req->slo = spec_.slo();
-  if (governor_ != nullptr) {
-    // Tenant identity is a pure hash of the request id — no RNG draw, so
-    // arrivals and every downstream stream match the untenanted run.
-    req->tenant = governor_->TenantOf(req->id);
-    const TenantSpec& tenant = governor_->Tenant(req->tenant);
-    req->weight = tenant.weight;
-    req->slo = static_cast<Duration>(
-        std::llround(static_cast<double>(req->slo) * tenant.slo_scale));
-  }
-  req->deadline = req->sent + req->slo;
-  req->hops.resize(static_cast<std::size_t>(spec_.NumModules()));
-  req->merge_arrivals.assign(static_cast<std::size_t>(spec_.NumModules()), 0);
-  if (options_.dynamic_paths) {
-    AssignDynamicPath(*req);
-  }
+  const bool admitted = lifecycle_.Stamp(*req, sim_.Now());
   requests_.push_back(req);
-  if (governor_ != nullptr && !governor_->AdmitAtIngress(req->id, req->tenant)) {
+  if (!admitted) {
     // Weighted ingress shed: recorded (conservation) but never delivered.
     Drop(std::move(req), spec_.SourceModule(), DropReason::kTenantShed);
     return;
@@ -180,55 +90,12 @@ void PipelineRuntime::Inject() {
   Deliver(std::move(req), spec_.SourceModule());
 }
 
-void PipelineRuntime::AssignDynamicPath(Request& req) {
-  const int n = spec_.NumModules();
-  req.branch_choice.assign(static_cast<std::size_t>(n), -1);
-  req.expected_arrivals.assign(static_cast<std::size_t>(n), 0);
-  // Draw the branch taken at every fork, then propagate reachability so each
-  // merge knows how many deliveries to expect for this request.
-  std::vector<bool> active(static_cast<std::size_t>(n), false);
-  active[static_cast<std::size_t>(spec_.SourceModule())] = true;
-  for (int id : spec_.TopoOrder()) {
-    if (!active[static_cast<std::size_t>(id)]) {
-      continue;
-    }
-    const ModuleSpec& m = spec_.Module(id);
-    if (m.subs.size() > 1) {
-      const int pick = static_cast<int>(
-          rng_.UniformInt(0, static_cast<std::int64_t>(m.subs.size()) - 1));
-      const int chosen = m.subs[static_cast<std::size_t>(pick)];
-      req.branch_choice[static_cast<std::size_t>(id)] = chosen;
-      active[static_cast<std::size_t>(chosen)] = true;
-      ++req.expected_arrivals[static_cast<std::size_t>(chosen)];
-    } else {
-      for (int s : m.subs) {
-        active[static_cast<std::size_t>(s)] = true;
-        ++req.expected_arrivals[static_cast<std::size_t>(s)];
-      }
-    }
-  }
-}
-
 void PipelineRuntime::Deliver(RequestPtr req, int module_id) {
   // Network hop between client/module and module.
   RequestPtr captured = std::move(req);
   sim_.ScheduleAfter(options_.network_delay, [this, captured, module_id]() mutable {
-    const ModuleSpec& m = spec_.Module(module_id);
-    if (m.pres.size() > 1) {
-      // DAG merge: enqueue only once all expected branches delivered (all
-      // pres for static routing; possibly fewer under dynamic paths).
-      int& arrived = captured->merge_arrivals[static_cast<std::size_t>(module_id)];
-      ++arrived;
-      if (captured->Terminal()) {
-        return;  // A sibling branch was dropped; nothing to merge.
-      }
-      const int expected =
-          captured->HasDynamicPath()
-              ? captured->expected_arrivals[static_cast<std::size_t>(module_id)]
-              : static_cast<int>(m.pres.size());
-      if (arrived < expected) {
-        return;
-      }
+    if (lifecycle_.IsMerge(module_id) && !lifecycle_.CountMergeArrival(*captured, module_id)) {
+      return;
     }
     modules_[static_cast<std::size_t>(module_id)]->Receive(std::move(captured));
   });
@@ -238,90 +105,20 @@ void PipelineRuntime::OnModuleDone(RequestPtr req, int module_id) {
   if (req->Terminal()) {
     return;  // Dropped on a parallel branch while this one executed.
   }
-  const ModuleSpec& m = spec_.Module(module_id);
-  if (m.subs.empty()) {
+  if (!lifecycle_.Forward(*req, module_id, [&](int sub) { Deliver(req, sub); })) {
     Complete(std::move(req));
-    return;
-  }
-  if (req->HasDynamicPath() && m.subs.size() > 1) {
-    Deliver(req, req->branch_choice[static_cast<std::size_t>(module_id)]);
-    return;
-  }
-  for (int sub : m.subs) {
-    Deliver(req, sub);
   }
 }
 
 void PipelineRuntime::Drop(RequestPtr req, int module_id, DropReason reason) {
-  if (req->Terminal()) {
-    return;
-  }
-  req->fate = RequestFate::kDropped;
-  req->drop_module = module_id;
-  req->finish = sim_.Now();
-  req->drop_reason = reason;
-  if (drop_reason_counters_[static_cast<int>(reason)] != nullptr) {
-    drop_reason_counters_[static_cast<int>(reason)]->Add();
-  }
-  if (req->tenant >= 0 && !tenant_dropped_.empty()) {
-    tenant_dropped_[static_cast<std::size_t>(req->tenant)]->Add();
-  }
-  if (options_.trace != nullptr) {
-    TraceEvent ev;
-    ev.kind = TraceEventKind::kFate;
-    ev.module = module_id;
-    ev.request_id = req->id;
-    ev.ts = req->finish;
-    ev.arg0 = static_cast<std::int64_t>(req->fate);
-    ev.arg1 = static_cast<std::int64_t>(reason);
-    options_.trace->EmitSampled(ev);
+  if (lifecycle_.Drop(*req, module_id, sim_.Now(), reason)) {
+    lifecycle_.Account(*req);
   }
 }
 
 void PipelineRuntime::Complete(RequestPtr req) {
-  req->finish = sim_.Now();
-  req->fate = req->finish <= req->deadline ? RequestFate::kCompleted : RequestFate::kLate;
-  if (req->fate == RequestFate::kLate) {
-    req->drop_reason = DropReason::kSloLate;
-  }
-  if (options_.metrics != nullptr) {
-    if (req->fate == RequestFate::kCompleted) {
-      completed_counter_->Add();
-    } else {
-      drop_reason_counters_[static_cast<int>(DropReason::kSloLate)]->Add();
-    }
-    if (req->tenant >= 0 && !tenant_completed_.empty()) {
-      (req->fate == RequestFate::kCompleted
-           ? tenant_completed_[static_cast<std::size_t>(req->tenant)]
-           : tenant_dropped_[static_cast<std::size_t>(req->tenant)])
-          ->Add();
-    }
-  }
-  if (options_.trace != nullptr) {
-    TraceEvent ev;
-    ev.kind = TraceEventKind::kFate;
-    ev.module = -1;
-    ev.request_id = req->id;
-    ev.ts = req->finish;
-    ev.arg0 = static_cast<std::int64_t>(req->fate);
-    ev.arg1 = static_cast<std::int64_t>(req->drop_reason);
-    options_.trace->EmitSampled(ev);
-  }
-}
-
-void PipelineRuntime::NoteRetry(const Request& req, int module_id, SimTime now) {
-  ++retries_;
-  if (retry_counter_ != nullptr) {
-    retry_counter_->Add();
-  }
-  if (options_.trace != nullptr) {
-    TraceEvent ev;
-    ev.kind = TraceEventKind::kRetry;
-    ev.module = module_id;
-    ev.request_id = req.id;
-    ev.ts = now;
-    ev.arg0 = req.retry_count;
-    options_.trace->EmitSampled(ev);
+  if (lifecycle_.Complete(*req, sim_.Now())) {
+    lifecycle_.Account(*req);
   }
 }
 
@@ -339,10 +136,10 @@ void PipelineRuntime::SyncTick() {
     m->Sync(now, &board_);
   }
   policy_->OnSync(now);
-  if (governor_ != nullptr) {
+  if (TenantGovernor* governor = lifecycle_.governor(); governor != nullptr) {
     // Recompute the weighted shed plan from the states just published —
     // same staleness as every other control-plane consumer.
-    governor_->ResyncFromBoard(board_);
+    governor->ResyncFromBoard(board_);
   }
   ++sync_count_;
   if (options_.trace != nullptr) {
@@ -370,15 +167,8 @@ void PipelineRuntime::ScalingTick() {
   WorkerSample sample;
   sample.t = now;
   for (auto& m : modules_) {
-    const double rate = m->SmoothedInputRate(now);
-    const double per_worker = m->PerWorkerThroughput();
-    // Target capacity in baseline-worker units: heterogeneous fleets keep
-    // provisioning until Σ speed covers the demand, which for a homogeneous
-    // grade-1.0 fleet lands on exactly the historical ceil() worker count.
-    double target_units = m->ProvisionedUnits();
-    if (rate > 0.0 && per_worker > 0.0) {
-      target_units = rate * options_.provision_headroom / per_worker;
-    }
+    const double target_units = lifecycle_.ScalingTarget(
+        m->SmoothedInputRate(now), m->PerWorkerThroughput(), m->ProvisionedUnits());
     m->SetTargetUnits(target_units);
     sample.workers.push_back(m->ActiveWorkers());
   }
@@ -398,23 +188,8 @@ void PipelineRuntime::RunTrace(const std::vector<SimTime>& arrivals) {
   }
   sim_.Run();
   // Any request still in flight after the queues fully drain is abandoned
-  // (can only happen via infrastructure corner cases); account it as late so
-  // conservation holds.
-  for (const RequestPtr& req : requests_) {
-    if (!req->Terminal()) {
-      req->fate = RequestFate::kLate;
-      req->finish = sim_.Now();
-      req->drop_reason = DropReason::kDrainAbandoned;
-      if (drop_reason_counters_[static_cast<int>(DropReason::kDrainAbandoned)] !=
-          nullptr) {
-        drop_reason_counters_[static_cast<int>(DropReason::kDrainAbandoned)]
-            ->Add();
-      }
-      if (req->tenant >= 0 && !tenant_dropped_.empty()) {
-        tenant_dropped_[static_cast<std::size_t>(req->tenant)]->Add();
-      }
-    }
-  }
+  // (can only happen via infrastructure corner cases).
+  lifecycle_.AbandonInFlight(requests_, sim_.Now());
 }
 
 }  // namespace pard

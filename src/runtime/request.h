@@ -13,7 +13,8 @@
 // Each hops[k] is written only by module k's worker threads, which never
 // race each other on one request (a request is in at most one batch at k).
 // The terminal fields (fate, drop_module, finish) and merge_arrivals flip
-// under ServeRuntime's state mutex — cross-branch readers must go through
+// under the request's ServeRuntime fate stripe, through RequestLifecycle
+// (runtime/request_lifecycle.h) — cross-branch readers must go through
 // ServeRuntime::IsTerminal rather than reading `fate` directly while a run
 // is live. The single-threaded simulator needs none of this.
 #ifndef PARD_RUNTIME_REQUEST_H_

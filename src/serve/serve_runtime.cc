@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <thread>
 #include <utility>
 
@@ -69,48 +68,11 @@ ServeRuntime::ServeRuntime(const PipelineSpec& spec, const RuntimeOptions& optio
       control_(&spec_, policy, &board_, MakeControlOptions(options, serve)),
       batch_sizes_(PlanBatchSizes(spec_)),
       fleet_(spec_, options.cold_start, options.cost_aware_provisioning),
-      rng_(options.seed) {
+      lifecycle_(&spec_, options_) {
   PARD_CHECK(serve_.max_total_threads >= spec_.NumModules());
-  if (!options_.tenants.empty()) {
-    governor_ = std::make_unique<TenantGovernor>(options_.tenants, options_.seed);
-  }
   PARD_CHECK_MSG(serve_.broker_threads >= 1, "broker_threads must be >= 1");
-  if (!options_.fixed_workers.empty()) {
-    PARD_CHECK_MSG(static_cast<int>(options_.fixed_workers.size()) == spec_.NumModules(),
-                   "fixed_workers size must match module count");
-    worker_plan_ = options_.fixed_workers;
-  } else {
-    worker_plan_ = PlanWorkers(spec_, batch_sizes_, expected_rate, options_.provision_headroom,
-                               options_.max_workers_per_module, options_.total_gpus);
-  }
-  worker_plan_ = CapTotalWorkers(worker_plan_, serve_.max_total_threads);
-  // The deterministic fault schedule, merged and time-sorted. Validated
-  // loudly here: a typo'd module id must fail the run, not silently no-op.
-  for (const RuntimeOptions::FailureEvent& failure : options_.failures) {
-    PARD_CHECK_MSG(failure.module_id >= 0 && failure.module_id < spec_.NumModules(),
-                   "failure event targets unknown module " << failure.module_id);
-    fault_schedule_.push_back(
-        FleetEvent{failure.at, failure.module_id, FleetEvent::Kind::kKill, failure.workers});
-  }
-  for (const FleetEvent& event : options_.fleet_events) {
-    PARD_CHECK_MSG(event.module_id >= 0 && event.module_id < spec_.NumModules(),
-                   "fleet event targets unknown module " << event.module_id);
-    PARD_CHECK(event.count >= 1);
-    fault_schedule_.push_back(event);
-  }
-  std::stable_sort(fault_schedule_.begin(), fault_schedule_.end(),
-                   [](const FleetEvent& a, const FleetEvent& b) { return a.at < b.at; });
-  // The chaos schedule, expanded deterministically from the run seed (so a
-  // probabilistic schedule injects the same concrete events the simulator
-  // would) and validated like the fault schedule.
-  PARD_CHECK(options_.resilience.max_retries >= 0);
-  PARD_CHECK(options_.resilience.hang_budget >= 0);
-  chaos_schedule_ = ExpandChaosSchedule(options_.resilience.chaos, options_.seed);
-  for (const ChaosEvent& event : chaos_schedule_) {
-    PARD_CHECK_MSG(event.kind == ChaosKind::kStallSync ||
-                       (event.module_id >= 0 && event.module_id < spec_.NumModules()),
-                   "chaos event targets unknown module " << event.module_id);
-  }
+  worker_plan_ = CapTotalWorkers(PlanInitialWorkers(spec_, batch_sizes_, options_, expected_rate),
+                                 serve_.max_total_threads);
   for (const ModuleSpec& m : spec_.modules()) {
     const ModelProfile& profile = ProfileRegistry::Get(m.model);
     planned_batch_duration_.push_back(
@@ -120,14 +82,6 @@ ServeRuntime::ServeRuntime(const PipelineSpec& spec, const RuntimeOptions& optio
         worker_plan_[static_cast<std::size_t>(m.id)], options_));
   }
   if (options_.metrics != nullptr) {
-    // Same metric names as the simulator (pipeline_runtime.cc), so the two
-    // substrates export comparable series.
-    completed_counter_ = options_.metrics->GetCounter("fate.completed");
-    for (int r = 1; r < kNumDropReasons; ++r) {
-      drop_reason_counters_[r] = options_.metrics->GetCounter(
-          std::string("fate.dropped.") + DropReasonName(static_cast<DropReason>(r)));
-    }
-    retry_counter_ = options_.metrics->GetCounter("resilience.retries");
     watchdog_counter_ = options_.metrics->GetCounter("resilience.watchdog_kills");
     // Control-sync tail: wall-clock Sync() cost per epoch. 0..20 ms in
     // 0.5 ms buckets comfortably brackets both the incremental fast path
@@ -138,18 +92,6 @@ ServeRuntime::ServeRuntime(const PipelineSpec& spec, const RuntimeOptions& optio
         options_.metrics->GetCounter("control.refresh_modules_refreshed");
     refresh_skipped_counter_ =
         options_.metrics->GetCounter("control.refresh_modules_skipped");
-    for (const ModuleSpec& m : spec_.modules()) {
-      admitted_counters_.push_back(options_.metrics->GetCounter(
-          "module.m" + std::to_string(m.id) + ".admitted"));
-    }
-    if (governor_ != nullptr) {
-      for (const TenantSpec& tenant : options_.tenants) {
-        tenant_completed_.push_back(
-            options_.metrics->GetCounter("tenant." + tenant.name + ".completed"));
-        tenant_dropped_.push_back(
-            options_.metrics->GetCounter("tenant." + tenant.name + ".dropped"));
-      }
-    }
   }
 }
 
@@ -159,63 +101,18 @@ bool ServeRuntime::IsTerminal(const Request& req) const {
   return req.Terminal();
 }
 
-void ServeRuntime::AssignDynamicPath(Request& req) {
-  const int n = spec_.NumModules();
-  req.branch_choice.assign(static_cast<std::size_t>(n), -1);
-  req.expected_arrivals.assign(static_cast<std::size_t>(n), 0);
-  std::vector<bool> active(static_cast<std::size_t>(n), false);
-  active[static_cast<std::size_t>(spec_.SourceModule())] = true;
-  for (int id : spec_.TopoOrder()) {
-    if (!active[static_cast<std::size_t>(id)]) {
-      continue;
-    }
-    const ModuleSpec& m = spec_.Module(id);
-    if (m.subs.size() > 1) {
-      const int pick = static_cast<int>(
-          rng_.UniformInt(0, static_cast<std::int64_t>(m.subs.size()) - 1));
-      const int chosen = m.subs[static_cast<std::size_t>(pick)];
-      req.branch_choice[static_cast<std::size_t>(id)] = chosen;
-      active[static_cast<std::size_t>(chosen)] = true;
-      ++req.expected_arrivals[static_cast<std::size_t>(chosen)];
-    } else {
-      for (int s : m.subs) {
-        active[static_cast<std::size_t>(s)] = true;
-        ++req.expected_arrivals[static_cast<std::size_t>(s)];
-      }
-    }
-  }
-}
-
-void ServeRuntime::Inject(SimTime scheduled) {
-  (void)scheduled;  // Open loop: the *actual* instant is the send time.
+void ServeRuntime::Inject() {
+  // Open loop: the *actual* instant is the send time.
   const SimTime now = clock_.Now();
   RequestPtr req = std::make_shared<Request>();
-  // No lock: the id counter, RNG and request log belong to this (the load
-  // generator's) thread; identity fields are immutable once the request is
-  // visible to any other thread (runtime/request.h).
-  req->id = next_request_id_++;
-  req->sent = now;
-  req->slo = spec_.slo();
-  if (governor_ != nullptr) {
-    // Tenant identity is a pure hash of the request id (no RNG draw) and is
-    // stamped before the request becomes visible to any other thread.
-    req->tenant = governor_->TenantOf(req->id);
-    const TenantSpec& tenant = governor_->Tenant(req->tenant);
-    req->weight = tenant.weight;
-    req->slo = static_cast<Duration>(
-        std::llround(static_cast<double>(req->slo) * tenant.slo_scale));
-  }
-  req->deadline = req->sent + req->slo;
-  req->hops.resize(static_cast<std::size_t>(spec_.NumModules()));
-  req->merge_arrivals.assign(static_cast<std::size_t>(spec_.NumModules()), 0);
-  if (options_.dynamic_paths) {
-    AssignDynamicPath(*req);
-  }
+  // No lock: the request log and the core's ingress state belong to this
+  // (the load generator's) thread; identity fields are immutable once the
+  // request is visible to any other thread (runtime/request.h).
+  const bool admitted = lifecycle_.Stamp(*req, now);
   requests_.push_back(req);
   in_flight_.fetch_add(1, std::memory_order_release);
-  if (governor_ != nullptr && !governor_->AdmitAtIngress(req->id, req->tenant)) {
-    // Weighted ingress shed: lock-free threshold read on this (the load
-    // generator's) thread; the request is recorded for conservation but
+  if (!admitted) {
+    // Weighted ingress shed: the request is recorded for conservation but
     // never reaches the broker backlog or any module queue.
     Drop(req, spec_.SourceModule(), now, DropReason::kTenantShed);
     return;
@@ -249,38 +146,34 @@ void ServeRuntime::BrokerLoop() {
 }
 
 void ServeRuntime::Deliver(const RequestPtr& req, int module_id, SimTime now) {
-  const ModuleSpec& m = spec_.Module(module_id);
-  if (m.pres.size() > 1) {
-    // DAG merge: enqueue only once all expected branches delivered. The
-    // merge counter shares the request's fate stripe, so a sibling branch's
-    // drop and this arrival serialize.
+  if (lifecycle_.IsMerge(module_id)) {
+    // The merge counter shares the request's fate stripe, so a sibling
+    // branch's drop and this arrival serialize.
     LockOrderGuard order(LockRank::kFate);
     std::lock_guard<std::mutex> lock(FateMutex(*req));
-    int& arrived = req->merge_arrivals[static_cast<std::size_t>(module_id)];
-    ++arrived;
-    if (req->Terminal()) {
-      return;  // A sibling branch was dropped; nothing to merge.
-    }
-    const int expected = req->HasDynamicPath()
-                             ? req->expected_arrivals[static_cast<std::size_t>(module_id)]
-                             : static_cast<int>(m.pres.size());
-    if (arrived < expected) {
+    if (!lifecycle_.CountMergeArrival(*req, module_id)) {
       return;
     }
   }
   // Offered load is counted before admission (like the simulator's
   // bump-then-admit Receive), so shed traffic still drives load_factor.
   modules_[static_cast<std::size_t>(module_id)]->NoteOffered(now);
-  // Admission front-end: the paper's proactive drop runs BEFORE the request
-  // enters the module queue — enqueue-time admission plus the Request Broker
-  // predicate with the delivery instant as the hypothetical batch start. A
-  // request that cannot meet its SLO even if a worker picked it up right now
-  // never consumes queue space or a broker slot later. Both predicates read
-  // the control plane's published snapshot — no control lock on this path.
-  if (!control_.AdmitAtModule(*req, module_id, now)) {
-    req->hops[static_cast<std::size_t>(module_id)].arrive = now;
-    Drop(req, module_id, now, DropReason::kProactiveAdmission);
+  if (!AdmitOnDelivery(req, module_id, now)) {
     return;
+  }
+  lifecycle_.NoteAdmitted(*req, module_id, now);
+  modules_[static_cast<std::size_t>(module_id)]->Receive(req);
+}
+
+bool ServeRuntime::AdmitOnDelivery(const RequestPtr& req, int module_id, SimTime now) {
+  // A request that cannot meet its SLO even if a worker picked it up right
+  // now never consumes queue space or a broker slot later. Both predicates
+  // read the control plane's published snapshot — no control lock here.
+  HopRecord& hop = req->hops[static_cast<std::size_t>(module_id)];
+  if (!control_.AdmitAtModule(*req, module_id, now)) {
+    hop.arrive = now;
+    Drop(req, module_id, now, DropReason::kProactiveAdmission);
+    return false;
   }
   AdmissionContext ctx;
   ctx.request = req.get();
@@ -290,40 +183,20 @@ void ServeRuntime::Deliver(const RequestPtr& req, int module_id, SimTime now) {
   ctx.batch_duration = planned_batch_duration_[static_cast<std::size_t>(module_id)];
   ctx.batch_size = batch_sizes_[static_cast<std::size_t>(module_id)];
   if (control_.ShouldDrop(ctx)) {
-    req->hops[static_cast<std::size_t>(module_id)].arrive = now;
-    req->hops[static_cast<std::size_t>(module_id)].batch_entry = now;
+    hop.arrive = now;
+    hop.batch_entry = now;
     Drop(req, module_id, now, DropReason::kBrokerCandidate);
-    return;
+    return false;
   }
-  if (!admitted_counters_.empty()) {
-    admitted_counters_[static_cast<std::size_t>(module_id)]->Add();
-  }
-  if (options_.trace != nullptr) {
-    TraceEvent ev;
-    ev.kind = TraceEventKind::kAdmit;
-    ev.module = module_id;
-    ev.request_id = req->id;
-    ev.ts = now;
-    options_.trace->EmitSampled(ev);
-  }
-  modules_[static_cast<std::size_t>(module_id)]->Receive(req);
+  return true;
 }
 
 void ServeRuntime::OnModuleDone(const RequestPtr& req, int module_id, SimTime now) {
   if (IsTerminal(*req)) {
     return;  // Dropped on a parallel branch while this one executed.
   }
-  const ModuleSpec& m = spec_.Module(module_id);
-  if (m.subs.empty()) {
+  if (!lifecycle_.Forward(*req, module_id, [&](int sub) { Deliver(req, sub, now); })) {
     Complete(req, now);
-    return;
-  }
-  if (req->HasDynamicPath() && m.subs.size() > 1) {
-    Deliver(req, req->branch_choice[static_cast<std::size_t>(module_id)], now);
-    return;
-  }
-  for (int sub : m.subs) {
-    Deliver(req, sub, now);
   }
 }
 
@@ -332,129 +205,53 @@ void ServeRuntime::Drop(const RequestPtr& req, int module_id, SimTime now,
   {
     LockOrderGuard order(LockRank::kFate);
     std::lock_guard<std::mutex> lock(FateMutex(*req));
-    if (req->Terminal()) {
+    if (!lifecycle_.Drop(*req, module_id, now, reason)) {
       return;
     }
-    req->fate = RequestFate::kDropped;
-    req->drop_module = module_id;
-    req->finish = now;
-    req->drop_reason = reason;
     in_flight_.fetch_sub(1, std::memory_order_release);
   }
-  // Instrumentation outside the fate stripe: counters and trace shards are
-  // lock-free, but keeping the stripe's critical section minimal keeps the
-  // traced and untraced paths contention-identical.
-  if (drop_reason_counters_[static_cast<int>(reason)] != nullptr) {
-    drop_reason_counters_[static_cast<int>(reason)]->Add();
-  }
-  if (req->tenant >= 0 && !tenant_dropped_.empty()) {
-    tenant_dropped_[static_cast<std::size_t>(req->tenant)]->Add();
-  }
-  if (options_.trace != nullptr) {
-    TraceEvent ev;
-    ev.kind = TraceEventKind::kFate;
-    ev.module = module_id;
-    ev.request_id = req->id;
-    ev.ts = now;
-    ev.arg0 = static_cast<std::int64_t>(RequestFate::kDropped);
-    ev.arg1 = static_cast<std::int64_t>(reason);
-    options_.trace->EmitSampled(ev);
-  }
+  // Accounting outside the fate stripe keeps the stripe's critical section
+  // minimal, so the traced and untraced paths are contention-identical.
+  lifecycle_.Account(*req);
 }
 
 void ServeRuntime::RetryOrDrop(const RequestPtr& req, int module_id, SimTime now) {
   if (IsTerminal(*req)) {
     return;  // Resolved on another branch; nothing left to rescue.
   }
-  const ResilienceOptions& res = options_.resilience;
-  if (res.max_retries > 0) {
-    if (req->retry_count >= res.max_retries) {
-      Drop(req, module_id, now, DropReason::kRetryExhausted);
-      return;
-    }
-    // Deadline-aware: re-enqueue only when the remaining budget could still
-    // cover this stage's planned batch duration — a request that cannot
-    // finish even if picked up immediately is dead capacity.
-    if (req->RemainingBudget(now) >
-        planned_batch_duration_[static_cast<std::size_t>(module_id)]) {
-      ++req->retry_count;  // Single writer: the thread that owned the batch.
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      if (retry_counter_ != nullptr) {
-        retry_counter_->Add();
-      }
-      if (options_.trace != nullptr) {
-        TraceEvent ev;
-        ev.kind = TraceEventKind::kRetry;
-        ev.module = module_id;
-        ev.request_id = req->id;
-        ev.ts = now;
-        ev.arg0 = req->retry_count;
-        options_.trace->EmitSampled(ev);
-      }
-      // Straight back into the module's queue shards: admission already
-      // passed at delivery, and re-running NoteOffered/merge bookkeeping
-      // would double-count this request.
-      modules_[static_cast<std::size_t>(module_id)]->Receive(req);
-      return;
-    }
+  const DropReason reason = lifecycle_.RetryVerdict(
+      *req, now, planned_batch_duration_[static_cast<std::size_t>(module_id)]);
+  if (reason != DropReason::kNone) {
+    Drop(req, module_id, now, reason);
+    return;
   }
-  Drop(req, module_id, now, DropReason::kWorkerFailure);
+  // Single writer of retry_count: the thread that owned the batch. Straight
+  // back into the module's queue shards: admission already passed at
+  // delivery, and re-running NoteOffered/merge bookkeeping would
+  // double-count this request.
+  lifecycle_.NoteRetry(*req, module_id, now);
+  modules_[static_cast<std::size_t>(module_id)]->Receive(req);
 }
 
 void ServeRuntime::Complete(const RequestPtr& req, SimTime now) {
-  RequestFate fate;
   {
     LockOrderGuard order(LockRank::kFate);
     std::lock_guard<std::mutex> lock(FateMutex(*req));
-    if (req->Terminal()) {
+    if (!lifecycle_.Complete(*req, now)) {
       return;
-    }
-    req->finish = now;
-    fate = now <= req->deadline ? RequestFate::kCompleted : RequestFate::kLate;
-    req->fate = fate;
-    if (fate == RequestFate::kLate) {
-      req->drop_reason = DropReason::kSloLate;
     }
     in_flight_.fetch_sub(1, std::memory_order_release);
   }
-  if (options_.metrics != nullptr) {
-    if (fate == RequestFate::kCompleted) {
-      completed_counter_->Add();
-    } else {
-      drop_reason_counters_[static_cast<int>(DropReason::kSloLate)]->Add();
-    }
-    if (req->tenant >= 0 && !tenant_completed_.empty()) {
-      (fate == RequestFate::kCompleted
-           ? tenant_completed_[static_cast<std::size_t>(req->tenant)]
-           : tenant_dropped_[static_cast<std::size_t>(req->tenant)])
-          ->Add();
-    }
-  }
-  if (options_.trace != nullptr) {
-    TraceEvent ev;
-    ev.kind = TraceEventKind::kFate;
-    ev.module = -1;
-    ev.request_id = req->id;
-    ev.ts = now;
-    ev.arg0 = static_cast<std::int64_t>(fate);
-    ev.arg1 = static_cast<std::int64_t>(
-        fate == RequestFate::kLate ? DropReason::kSloLate : DropReason::kNone);
-    options_.trace->EmitSampled(ev);
-  }
+  lifecycle_.Account(*req);
 }
 
 void ServeRuntime::ScalingTick(SimTime now) {
   FleetSample sample;
   sample.t = now;
   for (auto& module : modules_) {
-    const double rate = module->SmoothedInputRate(now);
-    const double per_worker = module->PerWorkerThroughput();
-    // Same engine as PipelineRuntime::ScalingTick: target capacity in
-    // baseline-worker units from the smoothed offered rate.
-    double target_units = fleet_.ProvisionedUnits(module->module_id());
-    if (rate > 0.0 && per_worker > 0.0) {
-      target_units = rate * options_.provision_headroom / per_worker;
-    }
+    const double target_units =
+        lifecycle_.ScalingTarget(module->SmoothedInputRate(now), module->PerWorkerThroughput(),
+                                 fleet_.ProvisionedUnits(module->module_id()));
     // Real threads are capped fleet-wide; scale-ups spend the remaining
     // thread budget, scale-downs always apply.
     const int budget = serve_.max_total_threads - fleet_.TotalProvisioned();
@@ -480,16 +277,18 @@ void ServeRuntime::ControlLoop() {
   // skipped, so the published snapshot ages exactly as a wedged sync thread
   // would leave it.
   SimTime sync_stalled_until = 0;
+  const std::vector<FleetEvent>& fault_schedule = lifecycle_.fault_schedule();
+  const std::vector<ChaosEvent>& chaos_schedule = lifecycle_.chaos_schedule();
   while (!stop_control_.load(std::memory_order_relaxed)) {
     SimTime wake = next_sync;
     if (next_scale >= 0) {
       wake = std::min(wake, next_scale);
     }
-    if (next_fault < fault_schedule_.size()) {
-      wake = std::min(wake, fault_schedule_[next_fault].at);
+    if (next_fault < fault_schedule.size()) {
+      wake = std::min(wake, fault_schedule[next_fault].at);
     }
-    if (next_chaos < chaos_schedule_.size()) {
-      wake = std::min(wake, chaos_schedule_[next_chaos].at);
+    if (next_chaos < chaos_schedule.size()) {
+      wake = std::min(wake, chaos_schedule[next_chaos].at);
     }
     if (next_watchdog >= 0) {
       wake = std::min(wake, next_watchdog);
@@ -501,8 +300,8 @@ void ServeRuntime::ControlLoop() {
     const SimTime now = clock_.Now();
     // Deterministic fault schedule first: kill/recover exactly as scheduled
     // (transitions are logged at the scheduled instant).
-    while (next_fault < fault_schedule_.size() && fault_schedule_[next_fault].at <= now) {
-      const FleetEvent& event = fault_schedule_[next_fault++];
+    while (next_fault < fault_schedule.size() && fault_schedule[next_fault].at <= now) {
+      const FleetEvent& event = fault_schedule[next_fault++];
       ServeModule& module = *modules_[static_cast<std::size_t>(event.module_id)];
       if (event.kind == FleetEvent::Kind::kKill) {
         module.FailWorkers(event.count, event.at);
@@ -513,20 +312,12 @@ void ServeRuntime::ControlLoop() {
             std::max(0, serve_.max_total_threads - fleet_.TotalProvisioned());
         module.AddWorkers(std::min(event.count, budget), event.at);
       }
-      if (options_.trace != nullptr) {
-        TraceEvent ev;
-        ev.kind = TraceEventKind::kFleet;
-        ev.module = event.module_id;
-        ev.ts = event.at;
-        ev.arg0 = event.kind == FleetEvent::Kind::kKill ? 0 : 1;
-        ev.arg1 = event.count;
-        options_.trace->Emit(ev);
-      }
+      lifecycle_.NoteFleetEvent(event);
     }
     // Chaos schedule: hang/slow land on the target module; stall-sync arms
     // the sync-skip window below.
-    while (next_chaos < chaos_schedule_.size() && chaos_schedule_[next_chaos].at <= now) {
-      const ChaosEvent& event = chaos_schedule_[next_chaos++];
+    while (next_chaos < chaos_schedule.size() && chaos_schedule[next_chaos].at <= now) {
+      const ChaosEvent& event = chaos_schedule[next_chaos++];
       switch (event.kind) {
         case ChaosKind::kHang:
           modules_[static_cast<std::size_t>(event.module_id)]->HangWorkers(
@@ -540,16 +331,7 @@ void ServeRuntime::ControlLoop() {
           sync_stalled_until = std::max(sync_stalled_until, event.at + event.duration);
           break;
       }
-      if (options_.trace != nullptr) {
-        TraceEvent ev;
-        ev.kind = TraceEventKind::kChaos;
-        ev.module = event.module_id;
-        ev.ts = event.at;
-        ev.arg0 = static_cast<std::int64_t>(event.kind);
-        ev.arg1 = event.kind == ChaosKind::kHang ? event.count
-                                                 : static_cast<std::int64_t>(event.duration);
-        options_.trace->Emit(ev);
-      }
+      lifecycle_.NoteChaosEvent(event);
     }
     // Watchdog: force-fail busy workers with stale heartbeats and provision
     // replacements from the remaining thread budget.
@@ -592,10 +374,10 @@ void ServeRuntime::ControlLoop() {
       for (auto& module : modules_) {
         states.push_back(module->Snapshot(now));  // Shard locks, one at a time.
       }
-      if (governor_ != nullptr) {
+      if (TenantGovernor* governor = lifecycle_.governor(); governor != nullptr) {
         // Weighted shed plan from the same states the brokers are about to
         // read — the governor is never fresher than the snapshot.
-        governor_->Resync(states);
+        governor->Resync(states);
       }
       // Publishes a fresh immutable snapshot for the brokers — entirely off
       // the control lock on the snapshot path. Timed in wall-clock terms:
@@ -715,7 +497,7 @@ void ServeRuntime::RunTrace(const std::vector<SimTime>& arrivals) {
   }
 
   try {
-    LoadGenerator generator(&clock_, arrivals, [this](SimTime t) { Inject(t); });
+    LoadGenerator generator(&clock_, arrivals, [this](SimTime) { Inject(); });
     generator.Start();
     generator.Join();
 
@@ -746,23 +528,8 @@ void ServeRuntime::RunTrace(const std::vector<SimTime>& arrivals) {
   // Conservation: anything still in flight (wedged queue, drain timeout,
   // discarded broker backlog) is accounted as late rather than silently
   // vanishing. Every thread has joined; no lock needed.
-  const SimTime now = clock_.Now();
-  for (const RequestPtr& req : requests_) {
-    if (!req->Terminal()) {
-      req->fate = RequestFate::kLate;
-      req->finish = now;
-      req->drop_reason = DropReason::kDrainAbandoned;
-      in_flight_.fetch_sub(1, std::memory_order_release);
-      if (drop_reason_counters_[static_cast<int>(DropReason::kDrainAbandoned)] !=
-          nullptr) {
-        drop_reason_counters_[static_cast<int>(DropReason::kDrainAbandoned)]
-            ->Add();
-      }
-      if (req->tenant >= 0 && !tenant_dropped_.empty()) {
-        tenant_dropped_[static_cast<std::size_t>(req->tenant)]->Add();
-      }
-    }
-  }
+  in_flight_.fetch_sub(lifecycle_.AbandonInFlight(requests_, clock_.Now()),
+                       std::memory_order_release);
 }
 
 }  // namespace pard

@@ -31,15 +31,21 @@
 // Worker::Fail semantics (a killed worker's in-flight batch is lost; the
 // shared queue shards survive for the remaining workers).
 //
+// Request lifecycle: stamping, merge counting, routing, fate, retry and
+// accounting are the RequestLifecycle core the simulator also runs
+// (runtime/request_lifecycle.h). This runtime supplies the fate stripes
+// around its state transitions and the in-flight count; the delivery-time
+// admission front-end (AdmitOnDelivery) is its one serve-only step.
+//
 // Concurrency contract (ranks per common/lock_order.h). There is no global
 // runtime mutex. Mutable state is partitioned by owner:
 //   - Request fate/finish transitions, DAG merge counters: 16 fate stripes
-//     (kFate, keyed by request id) — the highest rank, so any thread may
-//     resolve a fate while holding module/queue/control locks, never the
-//     reverse.
-//   - The request log, id counter and dynamic-path RNG belong to the load
-//     generator thread alone; the final conservation sweep reads them only
-//     after every thread has joined.
+//     (kFate, keyed by request id) held around the core's Drop, Complete
+//     and CountMergeArrival — the highest rank, so any thread may resolve a
+//     fate while holding module/queue/control locks, never the reverse.
+//   - The request log and the core's ingress state (id counter, dynamic-
+//     path RNG) belong to the load generator thread alone; the final
+//     conservation sweep reads them only after every thread has joined.
 //   - The ingress backlog (broker pool) has its own leaf mutex, never held
 //     across a delivery.
 //   - Module queues/monitors and the control plane's snapshot publication
@@ -61,14 +67,13 @@
 #include <mutex>
 #include <vector>
 
-#include "common/rng.h"
 #include "core/tenant_governor.h"
 #include "exec/thread_pool.h"
 #include "pipeline/pipeline_spec.h"
 #include "runtime/backend_fleet.h"
-#include "resilience/chaos.h"
 #include "runtime/drop_policy.h"
 #include "runtime/request.h"
+#include "runtime/request_lifecycle.h"
 #include "runtime/runtime_options.h"
 #include "runtime/state_board.h"
 #include "serve/control_plane.h"
@@ -132,12 +137,10 @@ class ServeRuntime {
   // Multi-tenant governor; null for untenanted runs (empty
   // RuntimeOptions::tenants). Its ingress reads are lock-free, so the load
   // generator consults it without entering the lock-rank hierarchy.
-  const TenantGovernor* governor() const { return governor_.get(); }
+  const TenantGovernor* governor() const { return lifecycle_.governor(); }
 
   // Resilience counters (valid while running and after RunTrace returns).
-  std::uint64_t retries() const {
-    return retries_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t retries() const { return lifecycle_.retries(); }
   // Hung workers the watchdog force-failed (each one also provisions a
   // replacement, thread budget permitting).
   std::uint64_t watchdog_recoveries() const {
@@ -147,7 +150,7 @@ class ServeRuntime {
  private:
   static constexpr std::size_t kFateStripes = 16;
 
-  void Inject(SimTime scheduled);
+  void Inject();
   // Broker pool thread: pops ingress backlog entries and runs the delivery
   // front-end for the source module. Only active with broker_threads > 1.
   void BrokerLoop();
@@ -167,11 +170,15 @@ class ServeRuntime {
   // only lock-free instruments + the registry's leaf mutex, so it can stop
   // at any point in the shutdown sequence.
   void SamplerLoop();
-  // Admission front-end + merge bookkeeping + enqueue.
+  // Merge bookkeeping + admission front-end + enqueue.
   void Deliver(const RequestPtr& req, int module_id, SimTime now);
+  // The serve-only lifecycle step: the paper's proactive drop at delivery,
+  // before the request enters any queue. Runs the policy's enqueue-time
+  // admission, then the Request Broker predicate with `now` as the
+  // hypothetical batch start; drops the request (kProactiveAdmission /
+  // kBrokerCandidate) and returns false when either rejects it.
+  bool AdmitOnDelivery(const RequestPtr& req, int module_id, SimTime now);
   void Complete(const RequestPtr& req, SimTime now);
-  // Load-generator thread only (owns rng_).
-  void AssignDynamicPath(Request& req);
   // Control thread: state sync every sync_period, the scaling engine every
   // scaling_epoch (when enabled), and the deterministic fault schedule.
   void ControlLoop();
@@ -192,12 +199,7 @@ class ServeRuntime {
   std::vector<int> batch_sizes_;
   std::vector<int> worker_plan_;
   BackendFleet fleet_;
-  // Merged options_.failures + options_.fleet_events, sorted by time;
-  // applied from the control thread.
-  std::vector<FleetEvent> fault_schedule_;
-  // Expanded chaos schedule (probabilistic templates already concretized),
-  // sorted by time; applied from the control thread.
-  std::vector<ChaosEvent> chaos_schedule_;
+  RequestLifecycle lifecycle_;
   // Per-module d(batch) at the planned batch size, cached at construction so
   // ingress admission never touches the profile registry from worker threads.
   std::vector<Duration> planned_batch_duration_;
@@ -210,9 +212,7 @@ class ServeRuntime {
   // Nothing else is ever acquired under a fate stripe.
   mutable std::array<std::mutex, kFateStripes> fate_mu_;
   // Load-generator thread only; read post-join by the conservation sweep.
-  Rng rng_;
   std::vector<RequestPtr> requests_;
-  std::uint64_t next_request_id_ = 1;
   // Injected-but-not-terminal count; bumped in Inject, dropped on the fate
   // transition in Drop/Complete (under the request's fate stripe, but atomic
   // so the drain loop can read without any lock).
@@ -232,33 +232,18 @@ class ServeRuntime {
   WorkerGroup sampler_thread_;
   bool ran_ = false;
 
-  // Resilience accounting: bumped from worker threads (retries) and the
-  // control thread (watchdog kills); read by getters and the text summary.
-  std::atomic<std::uint64_t> retries_{0};
+  // Watchdog kills, bumped by the control thread; read by the getter and
+  // the text summary.
   std::atomic<std::uint64_t> watchdog_kills_{0};
 
-  // Pre-resolved instruments (null when options_.metrics is null). Fate
-  // counters are bumped outside the fate stripe — counters are lock-free.
-  Counter* completed_counter_ = nullptr;
-  Counter* drop_reason_counters_[kNumDropReasons] = {};
-  Counter* retry_counter_ = nullptr;
+  // Pre-resolved instruments (null when options_.metrics is null).
   Counter* watchdog_counter_ = nullptr;
-  std::vector<Counter*> admitted_counters_;  // per module
-  // Tenant-keyed fate tallies ("tenant.<name>.completed|dropped"), indexed
-  // by tenant; empty when untenanted or metrics are disabled. Counters are
-  // lock-free, bumped outside the fate stripes like the fate counters.
-  std::vector<Counter*> tenant_completed_;
-  std::vector<Counter*> tenant_dropped_;
   // Control-sync health: wall-clock Sync() duration (us) and what the
   // incremental estimator refresh did each epoch. Bumped by the control
   // thread only.
   AtomicHistogram* sync_duration_hist_ = nullptr;
   Counter* refresh_refreshed_counter_ = nullptr;
   Counter* refresh_skipped_counter_ = nullptr;
-  // Weighted ingress governor (null when options_.tenants is empty). The
-  // control thread resyncs it at each snapshot publish; Inject reads it
-  // lock-free.
-  std::unique_ptr<TenantGovernor> governor_;
 };
 
 }  // namespace pard

@@ -11,11 +11,16 @@
 // bit-identity was allowed to break.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "harness/experiment.h"
 #include "pipeline/apps.h"
+#include "pipeline/tenant_spec.h"
+#include "resilience/chaos.h"
+#include "runtime/backend_fleet.h"
 #include "runtime/batch_planner.h"
 #include "trace/rate_function.h"
 
@@ -184,6 +189,128 @@ TEST(GoldenDeterminism, ShardedRunMatchesPreRefactorKernel) {
   c.base_rate = 50.0;
   c.seed = 7;
   ExpectGolden(Find("sharded-lv-pard"), RunShardedExperiment(c, 4, 2));
+}
+
+// ---- Request-lifecycle goldens -------------------------------------------
+//
+// These rows pin the lifecycle paths the rows above never reach: ingress
+// tenant stamping and shedding, fleet kill/add, chaos hang/slow/stall-sync,
+// the deadline-aware retry decision, and DAG merges whose sibling branch
+// dropped while the merge was still waiting. Besides the summary they
+// compare the per-reason drop counts, the retry tally and the number of
+// dropped requests that had already reached a merge with at least one
+// branch. Harvested from commit adc56cd, before the sim and serve runtimes
+// were moved onto the shared request-lifecycle core.
+struct LifecycleGolden {
+  Golden summary;
+  // Indexed by DropReason (kNone .. kTenantShed).
+  std::array<std::size_t, kNumDropReasons> drop_reasons;
+  std::uint64_t retries;
+  std::size_t merge_partial_drops;
+};
+
+constexpr LifecycleGolden kLifecycleGoldens[] = {
+    {{"fig14a-tenants-chaos-retry", 1485u, 159u, 1326u, 0.89292929292929291,
+      0.64324349926745183, 73.850441244774728, 0.10707070707070707},
+     {0u, 0u, 134u, 62u, 0u, 975u, 0u, 67u, 6u, 82u},
+     48u,
+     0u},
+    {{"da-overload-static", 980u, 849u, 131u, 0.1336734693877551, 0.0042023834151567324,
+      364.84744305973356, 0.86632653061224485},
+     {0u, 0u, 30u, 101u, 0u, 0u, 0u, 0u, 0u, 0u},
+     0u,
+     3u},
+    {{"da-overload-dynamic", 980u, 854u, 126u, 0.12857142857142856, 0, 369.69696969696969,
+      0.87142857142857144},
+     {0u, 0u, 25u, 101u, 0u, 0u, 0u, 0u, 0u, 0u},
+     0u,
+     0u},
+};
+
+// Dropped requests that had already delivered at least one branch to a DAG
+// merge: the sibling dropped while the merge was pending (or the branch
+// reached the merge after its sibling dropped).
+std::size_t MergePartialDrops(const ExperimentResult& result) {
+  std::size_t count = 0;
+  for (const RequestPtr& req : result.analysis->requests()) {
+    if (req->fate != RequestFate::kDropped) {
+      continue;
+    }
+    for (const ModuleSpec& m : result.spec.modules()) {
+      if (m.pres.size() > 1 && m.id != req->drop_module &&
+          req->merge_arrivals[static_cast<std::size_t>(m.id)] > 0) {
+        ++count;
+        break;
+      }
+    }
+  }
+  return count;
+}
+
+void ExpectLifecycleGolden(const std::string& name, const ExperimentResult& result) {
+  const LifecycleGolden* golden = nullptr;
+  for (const LifecycleGolden& g : kLifecycleGoldens) {
+    if (name == g.summary.name) {
+      golden = &g;
+    }
+  }
+  ASSERT_NE(golden, nullptr) << "no lifecycle golden named " << name;
+  const RunAnalysis& a = *result.analysis;
+  ExpectGolden(golden->summary, result);
+  const std::vector<std::size_t> reasons = a.DropReasonCounts();
+  ASSERT_EQ(reasons.size(), golden->drop_reasons.size()) << name;
+  for (std::size_t r = 0; r < reasons.size(); ++r) {
+    EXPECT_EQ(reasons[r], golden->drop_reasons[r])
+        << name << " reason " << DropReasonName(static_cast<DropReason>(r));
+  }
+  EXPECT_EQ(result.retries, golden->retries) << name;
+  EXPECT_EQ(MergePartialDrops(result), golden->merge_partial_drops) << name;
+}
+
+// The fig14a overload with the reference tenant mix, a fleet kill/add
+// schedule, every chaos kind and bounded retries, all inside the 2 s run.
+TEST(GoldenDeterminism, Fig14aTenantsChaosAndRetries) {
+  ExperimentConfig c = Fig14aSmoke("pard");
+  c.runtime.tenants = MakeReferenceTenantCatalog();
+  c.runtime.fleet_events = ParseFaultSchedule("0.5:3:kill:3,1.0:1:kill:3,1.4:1:add:2");
+  c.runtime.resilience.chaos =
+      ParseChaosSchedule("0.4:0:hang:1:0.5, 0.9:1:slow:2.0:0.6, 1.2:stall-sync:0.5");
+  c.runtime.resilience.max_retries = 2;
+  const ExperimentResult result = RunExperiment(c);
+  const std::vector<std::size_t> reasons = result.analysis->DropReasonCounts();
+  EXPECT_GT(reasons[static_cast<std::size_t>(DropReason::kTenantShed)], 0u);
+  EXPECT_GT(reasons[static_cast<std::size_t>(DropReason::kWorkerFailure)] +
+                reasons[static_cast<std::size_t>(DropReason::kRetryExhausted)],
+            0u);
+  EXPECT_GT(result.retries, 0u);
+  ExpectLifecycleGolden("fig14a-tenants-chaos-retry", result);
+}
+
+// The da fork/merge DAG at a constant rate past its planned capacity, so
+// branches drop while their merge partner is in flight.
+ExperimentConfig DagOverload(bool dynamic_paths) {
+  const PipelineSpec spec = MakeApp("da");
+  const std::vector<int> batches = PlanBatchSizes(spec);
+  ExperimentConfig c;
+  c.custom_spec = spec;
+  c.custom_trace = RateFunction::Constant(500.0);
+  c.trace = "constant";
+  c.policy = "pard";
+  c.duration_s = 2.0;
+  c.seed = 17;
+  c.runtime.fixed_workers = PlanWorkers(spec, batches, 350.0, 1.0, 32, 64);
+  c.runtime.dynamic_paths = dynamic_paths;
+  return c;
+}
+
+TEST(GoldenDeterminism, DagOverloadStaticPaths) {
+  const ExperimentResult result = RunExperiment(DagOverload(false));
+  EXPECT_GT(MergePartialDrops(result), 0u);
+  ExpectLifecycleGolden("da-overload-static", result);
+}
+
+TEST(GoldenDeterminism, DagOverloadDynamicPaths) {
+  ExpectLifecycleGolden("da-overload-dynamic", RunExperiment(DagOverload(true)));
 }
 
 }  // namespace

@@ -32,6 +32,7 @@
 #include "common/time_types.h"
 #include "core/pard_policy.h"
 #include "exec/thread_pool.h"
+#include "fate_accounting.h"
 #include "harness/experiment.h"
 #include "jsonio/json.h"
 #include "obs/drop_reason.h"
@@ -549,18 +550,10 @@ TEST(ServeRuntime, ObsExportWritesLoadableTraceAndMetrics) {
   ASSERT_TRUE(metrics.At("samples").IsArray());
   EXPECT_GT(metrics.At("samples").AsArray().size(), 0u)
       << "sampler thread produced no rows";
-  // Every terminal request bumps exactly one fate.* counter. Assert the
-  // conservation sum rather than completions alone — under sanitizer
-  // slowdown a short run can legitimately complete zero requests.
-  const JsonObject& totals = metrics.At("totals").AsObject();
-  ASSERT_TRUE(totals.count("fate.completed"));
-  std::int64_t fates = 0;
-  for (const auto& [name, value] : totals) {
-    if (name.rfind("fate.", 0) == 0) {
-      fates += value.AsInt();
-    }
-  }
-  EXPECT_EQ(static_cast<std::size_t>(fates), result.analysis->Total());
+  // Every fate counter agrees with the request records, reason by reason —
+  // not just in sum (under sanitizer slowdown a short run can legitimately
+  // complete zero requests, so no completion count is assumed).
+  ExpectCountersMatchRecords(config.obs.metrics_out, result, config.runtime.tenants);
 }
 
 TEST(ServeRuntime, DynamicPathsServeTerminalUnderBursts) {

@@ -23,6 +23,7 @@
 
 #include "common/check.h"
 #include "core/tenant_governor.h"
+#include "fate_accounting.h"
 #include "harness/experiment.h"
 #include "jsonio/json.h"
 #include "metrics/analysis.h"
@@ -225,11 +226,13 @@ TEST(SimTenants, PerTenantConservationExactUnderChaos) {
   config.runtime.resilience.chaos =
       ParseChaosSchedule("2.5:1:hang:1:1.5, 5:0:slow:2.0:3, 7:stall-sync:2");
   config.runtime.resilience.max_retries = 2;
+  config.obs.metrics_out = testing::TempDir() + "sim_tenants_chaos_metrics.json";
 
   const ExperimentResult result = RunExperiment(config);
   const RunAnalysis& analysis = *result.analysis;
   const std::vector<TenantBreakdown> tenants = analysis.PerTenant();
   ASSERT_EQ(tenants.size(), 3u);
+  ExpectCountersMatchRecords(config.obs.metrics_out, result, config.runtime.tenants);
 
   std::size_t total = 0;
   std::size_t good = 0;
@@ -346,12 +349,14 @@ TEST(ServeTenants, ConservesPerTenantAndShedsLowestWeight) {
   ServeOptions serve;
   serve.speedup = 10.0;
   serve.broker_threads = 2;
+  config.obs.metrics_out = testing::TempDir() + "serve_tenants_metrics.json";
 
   const ExperimentResult result = RunServeExperiment(config, serve);
   const RunAnalysis& analysis = *result.analysis;
   ASSERT_GT(analysis.Total(), 1000u);
   const std::vector<TenantBreakdown> tenants = analysis.PerTenant();
   ASSERT_EQ(tenants.size(), 3u);
+  ExpectCountersMatchRecords(config.obs.metrics_out, result, config.runtime.tenants);
 
   std::size_t total = 0;
   for (const TenantBreakdown& b : tenants) {
