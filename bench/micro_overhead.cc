@@ -213,8 +213,10 @@ void BM_BrokerDecisionWarmEpoch(benchmark::State& state) {
 }
 BENCHMARK(BM_BrokerDecisionWarmEpoch);
 
-// Epoch advance: every decision lands just after a state sync, paying one
-// full Monte-Carlo refresh — the worst case the warm-epoch cache amortizes.
+// Epoch advance: every decision lands just after a state sync that moved no
+// estimator input. The stale read runs RefreshAll, which finds no dirty
+// module and only re-stamps the cache — the per-sync cost when nothing
+// changed.
 void BM_BrokerDecisionEpochAdvance(benchmark::State& state) {
   const PipelineSpec lv = MakeLiveVideo();
   Rng rng(8);
@@ -231,12 +233,14 @@ void BM_BrokerDecisionEpochAdvance(benchmark::State& state) {
 }
 BENCHMARK(BM_BrokerDecisionEpochAdvance);
 
-// Cold epoch with a REAL input change: each iteration publishes a module
-// state whose batch duration actually moved (EpochAdvance republishes an
-// identical state), then pays one full estimate refresh. This is the
-// decision-latency worst case the vectorized sweet-spot kernel (batched
-// draws + nth_element selection, ISSUE 10) attacks; the gate pins it
-// against the pre-vectorization epoch-advance cost.
+// Cold epoch with a REAL input change: each iteration publishes a state
+// whose batch duration actually moved (EpochAdvance republishes an
+// identical state), then pays the one cold path a decision-time read has:
+// the stale EstimateSubsequent runs RefreshAll inline, re-drawing the moved
+// module's sample buffer and recomputing the entries downstream of it. The
+// moved module is 1, on module 0's only path, so the read entry itself is
+// recomputed (a source-module change would leave it untouched). The gate
+// pins it against the pre-vectorization epoch-advance cost.
 void BM_BrokerDecisionColdEpoch(benchmark::State& state) {
   const PipelineSpec lv = MakeLiveVideo();
   Rng rng(8);
@@ -247,7 +251,7 @@ void BM_BrokerDecisionColdEpoch(benchmark::State& state) {
   for (auto _ : state) {
     toggle = !toggle;
     ModuleState s;
-    s.module_id = 0;
+    s.module_id = 1;
     s.batch_duration = (toggle ? 12 : 10) * kUsPerMs;
     board.Publish(std::move(s));  // A real input change, not just a version bump.
     benchmark::DoNotOptimize(est.EstimateSubsequent(0));
@@ -382,20 +386,11 @@ BENCHMARK(BM_StateSyncPayload);
 // what the overload scenario's control loop does every period (compressed
 // here to microbenchmark timescales; the frequent-republication regime the
 // ROADMAP's dynamic-interference item needs). Run at 1, 4 and 8 broker
-// threads. The Locked variant forces every decision through the
-// pre-sharding single-mutex fallback — the PR 4/5 control plane, where
-// every decision waits out any in-flight Sync. The scaling claim is
-// Snapshot at 8 broker threads vs Locked at 1 (the PR 5 deployment: one
-// generator thread admitting inline against the mutex) — ≥3x measured even
-// on a single-core container, where the gap is pure reader-writer blocking;
-// with real cores the locked leg additionally pays cross-core line bouncing.
-// bench_compare gates the Snapshot counter against bench/BENCH_PR6.json
+// threads. bench_compare gates the counter against bench/BENCH_PR6.json
 // (see tests: bench_compare_pr6_self, and the CI bench-smoke job).
 struct AdmissionHarness {
-  explicit AdmissionHarness(bool force_locked) : spec(MakeLiveVideo()), board(5) {
-    ControlPlane::Options options;
-    options.force_locked = force_locked;
-    control = std::make_unique<ControlPlane>(&spec, &policy, &board, options);
+  AdmissionHarness() : spec(MakeLiveVideo()), board(5) {
+    control = std::make_unique<ControlPlane>(&spec, &policy, &board);
     Rng rng(11);
     for (int i = 0; i < 5; ++i) {
       ModuleState s;
@@ -477,16 +472,10 @@ void RunAdmissionLoop(benchmark::State& state, AdmissionHarness& harness) {
 void BM_AdmissionDecisionSnapshot(benchmark::State& state) {
   // Leaked: shared by all benchmark threads, and the harness must outlive
   // the last of them (static destruction order vs. detached reporters).
-  static AdmissionHarness* harness = new AdmissionHarness(/*force_locked=*/false);
+  static AdmissionHarness* harness = new AdmissionHarness();
   RunAdmissionLoop(state, *harness);
 }
 BENCHMARK(BM_AdmissionDecisionSnapshot)->Threads(1)->Threads(4)->Threads(8)->UseRealTime();
-
-void BM_AdmissionDecisionLocked(benchmark::State& state) {
-  static AdmissionHarness* harness = new AdmissionHarness(/*force_locked=*/true);
-  RunAdmissionLoop(state, *harness);
-}
-BENCHMARK(BM_AdmissionDecisionLocked)->Threads(1)->Threads(4)->Threads(8)->UseRealTime();
 
 // --- Observability overhead ------------------------------------------------
 
@@ -499,7 +488,7 @@ BENCHMARK(BM_AdmissionDecisionLocked)->Threads(1)->Threads(4)->Threads(8)->UseRe
 // ~µs decision, never a second mutex on the hot path.
 void RunObsAdmissionLoop(benchmark::State& state, TraceRecorder* trace,
                          MetricsRegistry* metrics) {
-  static AdmissionHarness* harness = new AdmissionHarness(/*force_locked=*/false);
+  static AdmissionHarness* harness = new AdmissionHarness();
   Counter* admitted = metrics != nullptr ? metrics->GetCounter("module.m0.admitted") : nullptr;
   TraceShard* shard = trace != nullptr ? trace->ThisThreadShard() : nullptr;
   std::vector<TraceEvent> scratch;

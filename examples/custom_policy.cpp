@@ -1,11 +1,14 @@
 // Plugging a user-defined drop policy into the serving runtime.
 //
-// The DropPolicy interface has three decision points: ShouldDrop (Request
-// Broker, at batch-entry time), ChoosePopSide (queue order), and
-// AdmitAtModule (enqueue-time shedding). This example implements a simple
-// "slack margin" policy — drop when the remaining budget falls below a fixed
-// multiple of the current module's batch duration — and races it against
-// PARD and Nexus.
+// A policy decides through the immutable PolicyView its MakeView() returns,
+// rebuilt at every state sync. The view has three decision points:
+// ShouldDrop (Request Broker, at batch-entry time), ChoosePopSide (queue
+// order, FIFO by default), and AdmitAtModule (enqueue-time shedding, admit
+// by default). This example implements a simple "slack margin" policy —
+// drop when the remaining budget falls below a fixed multiple of the
+// current module's batch duration for every remaining module — and races
+// it against PARD and Nexus.
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -25,22 +28,32 @@ class SlackMarginPolicy : public pard::DropPolicy {
  public:
   explicit SlackMarginPolicy(double margin) : margin_(margin) {}
 
-  bool ShouldDrop(const pard::AdmissionContext& ctx) override {
-    // Keep only if the remaining budget after this module covers
-    // margin_ x the batch duration of every remaining module (a crude
-    // forward-looking rule — no runtime state needed).
-    const pard::Duration after_current =
-        ctx.request->deadline - (ctx.batch_start + ctx.batch_duration);
-    pard::Duration needed = 0;
-    for (const auto& path : spec_->DownstreamPaths(ctx.module_id)) {
-      pard::Duration path_needed = 0;
-      for (int id : path) {
-        path_needed += static_cast<pard::Duration>(margin_ * ctx.batch_duration);
-        (void)id;
+  std::shared_ptr<const pard::PolicyView> MakeView() override {
+    // A view must be self-contained: copy out everything the decision needs
+    // (here the margin and each module's longest downstream path).
+    struct View final : pard::PolicyView {
+      bool ShouldDrop(const pard::AdmissionContext& ctx) const override {
+        // Keep only if the remaining budget after this module covers
+        // margin x the batch duration of every remaining module (a crude
+        // forward-looking rule — no runtime state needed).
+        const pard::Duration after_current =
+            ctx.request->deadline - (ctx.batch_start + ctx.batch_duration);
+        const pard::Duration per_hop = static_cast<pard::Duration>(margin * ctx.batch_duration);
+        return after_current < max_hops[static_cast<std::size_t>(ctx.module_id)] * per_hop;
       }
-      needed = std::max(needed, path_needed);
+      double margin = 0.0;
+      std::vector<pard::Duration> max_hops;
+    };
+    auto view = std::make_shared<View>();
+    view->margin = margin_;
+    for (int id = 0; id < spec_->NumModules(); ++id) {
+      std::size_t hops = 0;
+      for (const auto& path : spec_->DownstreamPaths(id)) {
+        hops = std::max(hops, path.size());
+      }
+      view->max_hops.push_back(static_cast<pard::Duration>(hops));
     }
-    return after_current < needed;
+    return view;
   }
 
   std::string Name() const override { return "slack-margin"; }

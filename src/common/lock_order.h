@@ -6,8 +6,7 @@
 //   kModule (1)          ServeModule::mu_ — roster + worker sleep/wake.
 //   kQueueShard (2)      ServeModule per-shard queue/monitor mutexes.
 //   kAdmissionShard (3)  ControlPlane striped admission-RNG mutexes.
-//   kControl (4)         ControlPlane::mu_ — sync + locked fallback path.
-//   kFate (5)            ServeRuntime striped request-fate mutexes.
+//   kFate (4)            ServeRuntime striped request-fate mutexes.
 //
 // (BackendFleet's internal mutex is a leaf: it never acquires another lock,
 // so it is deliberately unranked.) Instantiate a LockOrderGuard immediately
@@ -26,15 +25,14 @@ enum class LockRank : int {
   kModule = 1,
   kQueueShard = 2,
   kAdmissionShard = 3,
-  kControl = 4,
-  kFate = 5,
+  kFate = 4,
 };
 
 #ifndef NDEBUG
 
 namespace lock_order_internal {
 // Per-thread stack of held ranks. Depth 8 is far above the deepest legal
-// chain (module -> shard -> control is 3).
+// chain (module -> shard -> admission shard -> fate is 4).
 inline constexpr int kMaxHeld = 8;
 struct HeldRanks {
   int ranks[kMaxHeld];

@@ -31,8 +31,7 @@ double QuantileInPlace(std::vector<double>& v, double q) {
 
 // Overwrites `out` with `mc` draws from one module's wait distribution —
 // the reservoir when it has observations, the uniform [0, d] fallback
-// otherwise. Same per-sample draw kernel as the lazy path, but from the
-// caller's (per-module, forked) stream.
+// otherwise, from the caller's (per-module, forked) stream.
 void DrawWaitSamples(const ModuleState& state, int mc, Rng& rng, std::vector<double>& out) {
   out.resize(static_cast<std::size_t>(mc));
   if (state.wait_samples.empty()) {
@@ -57,7 +56,29 @@ LatencyEstimator::LatencyEstimator(const PipelineSpec* spec, const StateBoard* b
   PARD_CHECK(board_ != nullptr);
   PARD_CHECK(options_.lambda >= 0.0 && options_.lambda <= 1.0);
   PARD_CHECK(options_.mc_samples > 0);
-  cache_.resize(static_cast<std::size_t>(spec_->NumModules()));
+  const int n = spec_->NumModules();
+  cache_.resize(static_cast<std::size_t>(n));
+  buffers_.resize(static_cast<std::size_t>(n));
+  for (int m = 0; m < n; ++m) {
+    // One stream per module, derived from the estimator seed alone (Fork
+    // ignores how far the shared stream has advanced), so buffer contents
+    // depend only on this module's dirty-event count — the determinism the
+    // parallel fan-out rests on.
+    buffers_[static_cast<std::size_t>(m)].rng = rng_.Fork("est:" + std::to_string(m));
+  }
+  for (int k = 0; k < n; ++k) {
+    std::vector<bool> seen(static_cast<std::size_t>(n), false);
+    for (const std::vector<int>& path : spec_->DownstreamPaths(k)) {
+      for (int id : path) {
+        seen[static_cast<std::size_t>(id)] = true;
+      }
+    }
+    for (int m = 0; m < n; ++m) {
+      if (seen[static_cast<std::size_t>(m)]) {
+        cache_[static_cast<std::size_t>(k)].dep_modules.push_back(m);
+      }
+    }
+  }
 }
 
 EmpiricalDistribution LatencyEstimator::AggregateWaitDistribution(const std::vector<int>& path) {
@@ -123,9 +144,8 @@ Duration LatencyEstimator::ComputeWaitQuantile(const std::vector<int>& path, dou
       break;
   }
   // Vectorized sweet-spot kernel: one batched draw loop per module into the
-  // reused scratch, in the exact order the pre-vectorization code drew
-  // (module-major, sample-minor, from the shared stream), then nth_element
-  // selection — no allocation, no full sort, bit-identical result.
+  // reused scratch (module-major, sample-minor, from the shared stream),
+  // then nth_element selection — no allocation, no full sort.
   scratch_sums_.assign(static_cast<std::size_t>(options_.mc_samples), 0.0);
   for (int id : path) {
     const ModuleState& state = board_->Get(id);
@@ -144,81 +164,16 @@ Duration LatencyEstimator::ComputeWaitQuantile(const std::vector<int>& path, dou
   return static_cast<Duration>(std::llround(QuantileInPlace(scratch_sums_, lambda)));
 }
 
-Duration LatencyEstimator::EstimatePath(const std::vector<int>& path) {
-  Duration estimate = 0;
-  if (options_.include_queue) {
-    for (int id : path) {
-      estimate += static_cast<Duration>(std::llround(board_->Get(id).avg_queue_delay));
-    }
-  }
-  if (options_.include_exec) {
-    // d_i at the fleet's effective service rate: the profiled duration
-    // stretched by the module's mean active backend speed (exactly the
-    // profiled table for a homogeneous grade-1.0 fleet).
-    for (int id : path) {
-      estimate += EffectiveBatchDuration(board_->Get(id));
-    }
-  }
-  if (options_.include_wait) {
-    estimate += ComputeWaitQuantile(path, options_.lambda);
-  }
-  return estimate;
-}
-
-const LatencyEstimator::CacheEntry& LatencyEstimator::Refresh(int module_id) {
+const LatencyEstimator::CacheEntry& LatencyEstimator::Fresh(int module_id) {
   PARD_CHECK(module_id >= 0 && module_id < spec_->NumModules());
-  CacheEntry& entry = cache_[static_cast<std::size_t>(module_id)];
-  if (entry.board_version == board_->Version()) {
-    return entry;
+  const CacheEntry& entry = cache_[static_cast<std::size_t>(module_id)];
+  if (entry.board_version != board_->Version()) {
+    RefreshAll(nullptr);
   }
-  const auto& paths = spec_->DownstreamPaths(module_id);
-  entry.per_path.clear();
-  entry.per_path.reserve(paths.size());
-  Duration best = 0;
-  for (const std::vector<int>& path : paths) {
-    const Duration estimate = EstimatePath(path);
-    entry.per_path.push_back(estimate);
-    best = std::max(best, estimate);
-  }
-  entry.board_version = board_->Version();
-  entry.max_value = best;
   return entry;
 }
 
-Duration LatencyEstimator::EstimateSubsequent(int module_id) {
-  return Refresh(module_id).max_value;
-}
-
-void LatencyEstimator::EnsureRefreshState() {
-  if (!buffers_.empty()) {
-    return;
-  }
-  const int n = spec_->NumModules();
-  buffers_.resize(static_cast<std::size_t>(n));
-  for (int m = 0; m < n; ++m) {
-    // One stream per module, derived from the estimator seed alone (Fork
-    // ignores how far the shared stream has advanced), so buffer contents
-    // depend only on this module's dirty-event count — the determinism the
-    // parallel fan-out rests on.
-    buffers_[static_cast<std::size_t>(m)].rng = rng_.Fork("est:" + std::to_string(m));
-  }
-  for (int k = 0; k < n; ++k) {
-    CacheEntry& entry = cache_[static_cast<std::size_t>(k)];
-    std::vector<bool> seen(static_cast<std::size_t>(n), false);
-    for (const std::vector<int>& path : spec_->DownstreamPaths(k)) {
-      for (int id : path) {
-        seen[static_cast<std::size_t>(id)] = true;
-      }
-    }
-    for (int m = 0; m < n; ++m) {
-      if (seen[static_cast<std::size_t>(m)]) {
-        entry.dep_modules.push_back(m);
-      }
-    }
-  }
-}
-
-void LatencyEstimator::RefreshEntryFromBuffers(int module_id) {
+void LatencyEstimator::RecomputeEntry(int module_id) {
   CacheEntry& entry = cache_[static_cast<std::size_t>(module_id)];
   const auto& paths = spec_->DownstreamPaths(module_id);
   entry.per_path.clear();
@@ -231,10 +186,11 @@ void LatencyEstimator::RefreshEntryFromBuffers(int module_id) {
         estimate += static_cast<Duration>(std::llround(board_->Get(id).avg_queue_delay));
       }
     }
-    if (options_.include_exec) {
-      for (int id : path) {
-        estimate += EffectiveBatchDuration(board_->Get(id));
-      }
+    // d_i at the fleet's effective service rate: the profiled duration
+    // stretched by the module's mean active backend speed (exactly the
+    // profiled table for a homogeneous grade-1.0 fleet).
+    for (int id : path) {
+      estimate += EffectiveBatchDuration(board_->Get(id));
     }
     if (options_.include_wait && !path.empty()) {
       switch (options_.wait_mode) {
@@ -270,14 +226,16 @@ void LatencyEstimator::RefreshEntryFromBuffers(int module_id) {
 }
 
 LatencyEstimator::RefreshStats LatencyEstimator::RefreshAll(ThreadPool* pool) {
-  EnsureRefreshState();
   const int n = spec_->NumModules();
   // Phase 1: re-draw the sample buffers of modules whose estimator inputs
-  // moved. Disjoint per-module state, so the fan-out needs no locks.
+  // moved. Disjoint per-module state, so the fan-out needs no locks. Modes
+  // that never read the buffers skip it.
   std::vector<int> dirty;
-  for (int m = 0; m < n; ++m) {
-    if (buffers_[static_cast<std::size_t>(m)].input_version != board_->ModuleVersion(m)) {
-      dirty.push_back(m);
+  if (DrawsSamples()) {
+    for (int m = 0; m < n; ++m) {
+      if (buffers_[static_cast<std::size_t>(m)].input_version != board_->ModuleVersion(m)) {
+        dirty.push_back(m);
+      }
     }
   }
   const auto redraw = [&](std::size_t i) {
@@ -286,8 +244,8 @@ LatencyEstimator::RefreshStats LatencyEstimator::RefreshAll(ThreadPool* pool) {
     DrawWaitSamples(board_->Get(m), options_.mc_samples, buf.rng, buf.draws);
     buf.input_version = board_->ModuleVersion(m);
   };
-  // A single-worker pool adds a handoff without adding parallelism (common
-  // on small machines via refresh_threads=0): run inline instead.
+  // A single-worker pool adds a handoff without adding parallelism: run
+  // inline instead.
   const bool fan_out = pool != nullptr && pool->thread_count() > 1;
   if (fan_out && dirty.size() > 1) {
     ParallelFor(*pool, dirty.size(), redraw);
@@ -298,9 +256,10 @@ LatencyEstimator::RefreshStats LatencyEstimator::RefreshAll(ThreadPool* pool) {
   }
   // Phase 2: recompute only the entries whose downstream dependency set
   // moved (sum of monotone per-module versions — changes iff any changed).
-  // Skipped entries are still stamped current so lazy reads stay warm.
+  // Skipped entries are still stamped current so reads stay warm.
   const std::uint64_t board_version = board_->Version();
   RefreshStats stats;
+  stats.redrawn = static_cast<int>(dirty.size());
   std::vector<int> stale;
   for (int k = 0; k < n; ++k) {
     CacheEntry& entry = cache_[static_cast<std::size_t>(k)];
@@ -316,7 +275,7 @@ LatencyEstimator::RefreshStats LatencyEstimator::RefreshAll(ThreadPool* pool) {
     entry.dep_signature = signature;
     stale.push_back(k);
   }
-  const auto recompute = [&](std::size_t i) { RefreshEntryFromBuffers(stale[i]); };
+  const auto recompute = [&](std::size_t i) { RecomputeEntry(stale[i]); };
   if (fan_out && stale.size() > 1) {
     ParallelFor(*pool, stale.size(), recompute);
   } else {
@@ -329,37 +288,6 @@ LatencyEstimator::RefreshStats LatencyEstimator::RefreshAll(ThreadPool* pool) {
   }
   stats.refreshed = static_cast<int>(stale.size());
   return stats;
-}
-
-Duration LatencyEstimator::EstimateSubsequentForRequest(int module_id, const Request& request) {
-  if (!request.HasDynamicPath()) {
-    return EstimateSubsequent(module_id);
-  }
-  const CacheEntry& entry = Refresh(module_id);
-  const auto& paths = spec_->DownstreamPaths(module_id);
-  Duration best = 0;
-  bool any = false;
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    // A path is consistent when every fork along it forwards to the path's
-    // next hop under this request's branch choices.
-    int prev = module_id;
-    bool consistent = true;
-    for (int id : paths[i]) {
-      const int choice = request.branch_choice[static_cast<std::size_t>(prev)];
-      if (spec_->Module(prev).subs.size() > 1 && choice != id) {
-        consistent = false;
-        break;
-      }
-      prev = id;
-    }
-    if (consistent) {
-      best = std::max(best, entry.per_path[i]);
-      any = true;
-    }
-  }
-  // A request can only be at modules on its active path, so a consistent
-  // path always exists; keep the conservative maximum as a safety net.
-  return any ? best : entry.max_value;
 }
 
 }  // namespace pard

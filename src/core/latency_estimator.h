@@ -27,49 +27,38 @@
 // model for modules without observations. For DAG pipelines the estimate is
 // the maximum over all downstream paths.
 //
-// All Monte-Carlo work is epoch-cached: results are memoized per
-// (module/path, StateBoard version) and recomputed only when a state sync
-// publishes a new epoch, matching the paper's asynchronous-update cost model
-// (§5.4) — between syncs a broker decision is a cache read.
+// All Monte-Carlo work is epoch-cached: results are memoized per module and
+// StateBoard version and recomputed only when a state sync publishes a new
+// epoch, matching the paper's asynchronous-update cost model (§5.4) —
+// between syncs a broker decision is a cache read.
 //
-// Two refresh modes share the epoch cache:
+// One refresh mode fills that cache: RefreshAll() re-derives it from
+// per-module sample buffers, each drawn from its own forked RNG stream
+// (Fork("est:<module>")) and re-drawn only when that module's estimator
+// inputs actually changed since the last call (StateBoard::ModuleVersion).
+// A path's Monte-Carlo samples are element-wise sums of its modules'
+// buffers — common random numbers across entries, independent streams
+// across modules — so a sync where 2 of 16 modules moved pays 2 modules of
+// draws plus cheap vector adds. Modes that never read the buffers
+// (kLower/kUpper wait handling, or no wait term) draw nothing. Results
+// depend only on each module's dirty-event count, never on thread
+// interleaving, so fanning the work across a ThreadPool is run-to-run
+// deterministic at any thread count. Both substrates call RefreshAll once
+// per sync (through DropPolicy::RefreshEstimates); a stale
+// EstimateSubsequent/PathEstimates read runs it inline.
 //
-//   LAZY (simulator, locked serve fallback): the first Estimate* call after
-//   a board publish recomputes the touched module from the shared RNG
-//   stream, module-major/sample-minor — the exact historical draw order, so
-//   homogeneous sim goldens stay bit-identical. The Monte-Carlo kernel is
-//   vectorized (batched per-module draws into reused scratch, nth_element
-//   quantile selection, zero steady-state allocations) but reproduces the
-//   old sort-based interpolation bit-for-bit (estimator_test parity grid).
+// The explicit-path queries (AggregateWaitQuantile, AggregateWaitDistribution)
+// are a separate tool for tests and the Fig. 6 bench: they draw from the
+// estimator's own shared stream and never touch the per-module cache.
 //
-//   INCREMENTAL (serve mode): RefreshAll() re-derives the whole cache from
-//   per-module sample buffers, each drawn from its own forked RNG stream
-//   (Fork("est:<module>")) and re-drawn only when that module's estimator
-//   inputs actually changed since the last call (StateBoard::ModuleVersion).
-//   A path's Monte-Carlo samples become element-wise sums of its modules'
-//   buffers — common random numbers across entries, independent streams
-//   across modules — so a sync where 2 of 16 modules moved pays 2 modules
-//   of draws plus cheap vector adds. Results depend only on each module's
-//   dirty-event count, never on thread interleaving, so fanning the work
-//   across a ThreadPool is run-to-run deterministic at any thread count.
-//   Entries refreshed this way are stamped with the board version, so later
-//   lazy reads are warm hits; the shared RNG stream is never consumed. The
-//   incremental estimates differ numerically from the lazy ones (different
-//   streams) — statistically equivalent, which is why sim never calls this.
-//
-// Concurrency contract: NOT internally synchronized — every Estimate* call
-// may mutate the epoch cache and advances the Monte-Carlo RNG, and a board
-// publish invalidates entries mid-flight. In the simulator one event loop
-// serializes everything. In the serving runtime the estimator is touched
-// from exactly one place: the control thread's Sync() — off the control
-// lock on the snapshot path, since brokers only ever read the immutable
-// PolicyView copies published through ControlPlane's snapshot cell and
-// never call into the estimator at all. RefreshAll's internal ParallelFor
-// phases touch disjoint per-module buffers, then disjoint per-entry cache
-// slots (with a barrier between the phases), so the fan-out needs no locks
-// either. (A policy that opts out of snapshotting is still safe:
-// ControlPlane's locked fallback path serializes its estimator use behind
-// the control mutex, the pre-snapshot contract.)
+// Concurrency contract: NOT internally synchronized — a stale read refreshes
+// the cache and the explicit-path queries advance the shared stream. In the
+// simulator one event loop serializes everything. In the serving runtime
+// only the control thread's Sync() touches the estimator; brokers read the
+// immutable PolicyView copies published through ControlPlane's snapshot
+// cell. RefreshAll's internal ParallelFor phases touch disjoint per-module
+// buffers, then disjoint per-entry cache slots (with a barrier between the
+// phases), so the fan-out needs no locks either.
 #ifndef PARD_CORE_LATENCY_ESTIMATOR_H_
 #define PARD_CORE_LATENCY_ESTIMATOR_H_
 
@@ -79,7 +68,6 @@
 #include "common/rng.h"
 #include "common/time_types.h"
 #include "pipeline/pipeline_spec.h"
-#include "runtime/request.h"
 #include "runtime/state_board.h"
 #include "stats/empirical_distribution.h"
 
@@ -104,7 +92,7 @@ struct EstimatorOptions {
   // numbers or probing tail quantiles.
   int mc_samples = kDefaultMcSamples;
 
-  // Ablation knobs. The full PARD estimator has all three enabled with
+  // Ablation knobs. The full PARD estimator has both enabled with
   // kSweetSpot wait handling.
   enum class WaitMode {
     kSweetSpot,  // w_k = F^-1(lambda)               (PARD)
@@ -113,7 +101,6 @@ struct EstimatorOptions {
   };
   WaitMode wait_mode = WaitMode::kSweetSpot;
   bool include_queue = true;  // false: drop the sum q_i term (PARD-sf).
-  bool include_exec = true;   // false: drop the sum d_i term.
   bool include_wait = true;   // false: drop the w_k term   (PARD-sf).
 };
 
@@ -123,29 +110,31 @@ class LatencyEstimator {
                    Rng rng);
 
   // L_sub from module k (exclusive) to the sink; max over DAG paths.
-  Duration EstimateSubsequent(int module_id);
+  // Refreshes the cache (RefreshAll(nullptr)) when it is stale.
+  Duration EstimateSubsequent(int module_id) { return Fresh(module_id).max_value; }
+
+  // Per-path downstream estimates for module_id, aligned index-for-index
+  // with spec->DownstreamPaths(module_id), at the current board epoch
+  // (refreshes the cache if stale). Policy MakeView() implementations copy
+  // these into their immutable snapshot at sync time; the reference is
+  // invalidated by the next refresh.
+  const std::vector<Duration>& PathEstimates(int module_id) {
+    return Fresh(module_id).per_path;
+  }
 
   // Incremental whole-cache refresh from per-module forked sample buffers
-  // (see the header comment's INCREMENTAL mode). Re-draws only the buffers
-  // of modules whose estimator inputs changed since the last call, then
-  // recomputes only the cache entries whose downstream modules moved;
-  // every entry (recomputed or skipped) leaves stamped at the current board
-  // version, so subsequent Estimate*/PathEstimates reads are warm hits.
-  // `pool` fans both phases across its threads; nullptr runs them inline.
-  // The result is identical at any thread count. Serve-mode only: the
-  // forked streams diverge from the lazy path's shared-RNG draws.
+  // (see the header comment). Re-draws only the buffers of modules whose
+  // estimator inputs changed since the last call, then recomputes only the
+  // cache entries whose downstream modules moved; every entry (recomputed
+  // or skipped) leaves stamped at the current board version. `pool` fans
+  // both phases across its threads; nullptr runs them inline. The result is
+  // identical at any thread count.
   struct RefreshStats {
     int refreshed = 0;  // cache entries recomputed
     int skipped = 0;    // cache entries reused (no downstream input moved)
+    int redrawn = 0;    // module sample buffers re-drawn
   };
   RefreshStats RefreshAll(ThreadPool* pool);
-
-  // Request-aware variant for dynamic-path pipelines (§5.2 future work):
-  // when the request carries branch choices (path prediction), only the DAG
-  // paths consistent with its chosen branches are considered, eliminating
-  // the conservative cross-branch maximum. Falls back to
-  // EstimateSubsequent() for static requests.
-  Duration EstimateSubsequentForRequest(int module_id, const Request& request);
 
   // The aggregated batch-wait quantile for an explicit module path — exposed
   // for tests and the Fig. 6 bench. Memoized per (path, lambda, board
@@ -156,71 +145,58 @@ class LatencyEstimator {
   // Full aggregated-wait distribution for a path (Fig. 6 PDFs).
   EmpiricalDistribution AggregateWaitDistribution(const std::vector<int>& path);
 
-  // Per-path downstream estimates for module_id, aligned index-for-index
-  // with spec->DownstreamPaths(module_id), at the current board epoch
-  // (refreshes the epoch cache if stale). Policy MakeView() implementations
-  // copy these into their immutable snapshot at sync time; the reference is
-  // invalidated by the next board publish or Estimate*/PathEstimates call.
-  const std::vector<Duration>& PathEstimates(int module_id) {
-    return Refresh(module_id).per_path;
-  }
-
   const EstimatorOptions& options() const { return options_; }
 
  private:
-  Duration EstimatePath(const std::vector<int>& path);
-
-  // Uncached quantile computation. EstimatePath (already deduplicated per
-  // module/epoch by Refresh) calls this directly so the memo layer cannot
-  // perturb its RNG draw sequence — runs stay bit-identical to the
-  // pre-memoization kernel. Vectorized: per-module draws are batched into
-  // the reused scratch_sums_ buffer in the exact historical order
-  // (module-major, sample-minor) and the quantile is selected with
-  // nth_element instead of a full sort — bit-identical by construction
-  // (estimator_test's VectorizedQuantileParityGrid pins it).
+  // Uncached explicit-path quantile from the shared stream: one batched
+  // draw loop per module into the reused scratch_sums_ buffer, then
+  // nth_element selection (estimator_test's VectorizedQuantileParityGrid
+  // pins it against a sort-based reference).
   Duration ComputeWaitQuantile(const std::vector<int>& path, double lambda);
+
+  // True when the w_k term reads the per-module sample buffers.
+  bool DrawsSamples() const {
+    return options_.include_wait && options_.wait_mode == EstimatorOptions::WaitMode::kSweetSpot;
+  }
 
   const PipelineSpec* spec_;
   const StateBoard* board_;
   EstimatorOptions options_;
   Rng rng_;
 
-  // Per-module cache of per-path downstream estimates, invalidated on board
-  // publish: between sync ticks every admission reuses the same values, so
-  // the O(mc_samples * path length) work runs once per module per second —
-  // the asynchronous-update cost model of the paper's §5.4.
+  // Per-module cache of per-path downstream estimates: between sync ticks
+  // every admission reuses the same values, so the O(mc_samples * path
+  // length) work runs once per module per sync — the asynchronous-update
+  // cost model of the paper's §5.4.
   struct CacheEntry {
     std::uint64_t board_version = ~0ULL;
     std::vector<Duration> per_path;
     Duration max_value = 0;
-    // --- RefreshAll (incremental mode) state ---
     // Union of modules on this entry's downstream paths, resolved once.
     std::vector<int> dep_modules;
     // Sum of the dep modules' StateBoard::ModuleVersion at the last
-    // incremental recompute. Versions are monotone, so the sum moves iff
-    // any dependency moved; ~0 forces the first recompute.
+    // recompute. Versions are monotone, so the sum moves iff any dependency
+    // moved; ~0 forces the first recompute.
     std::uint64_t dep_signature = ~0ULL;
     // Reused per-entry path-sum scratch; entries refresh on different pool
     // threads, so the scratch lives here rather than on the estimator.
     std::vector<double> scratch;
   };
-  const CacheEntry& Refresh(int module_id);
-  void RefreshEntryFromBuffers(int module_id);
+  const CacheEntry& Fresh(int module_id);
+  void RecomputeEntry(int module_id);
   std::vector<CacheEntry> cache_;
 
-  // Per-module Monte-Carlo sample buffer for the incremental mode: mc_samples
-  // draws from the module's wait distribution, re-drawn from the module's own
-  // forked stream only when its estimator inputs change.
+  // Per-module Monte-Carlo sample buffer: mc_samples draws from the
+  // module's wait distribution, re-drawn from the module's own forked
+  // stream only when its estimator inputs change.
   struct ModuleBuffer {
     Rng rng{1};
     std::uint64_t input_version = ~0ULL;
     std::vector<double> draws;
   };
-  void EnsureRefreshState();
-  std::vector<ModuleBuffer> buffers_;  // Empty until the first RefreshAll.
+  std::vector<ModuleBuffer> buffers_;
 
-  // Reused mode-A scratch: path sums for the vectorized lazy kernel. Not
-  // touched by RefreshAll, whose per-entry scratch lives in CacheEntry.
+  // Reused scratch for ComputeWaitQuantile's path sums.
   std::vector<double> scratch_sums_;
 
   // Warm-epoch memo for explicit-path quantile queries. Linear scan: the

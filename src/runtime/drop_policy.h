@@ -1,14 +1,20 @@
 // Drop-policy interface.
 //
-// A policy plugs into the serving runtime at three points:
+// A policy decides at three points, each stated once on its immutable
+// PolicyView:
 //   1. ShouldDrop()    — the Request Broker decision at batch-entry time t_b
 //                        (Fig. 5), when t_e and d_k are known exactly.
 //   2. ChoosePopSide() — which end of the per-worker DEPQ the broker
 //                        consumes next (arrival order vs LBF vs HBF).
 //   3. AdmitAtModule() — enqueue-time admission (used by the DAGOR-style
 //                        overload-control baseline to shed at ingress).
-// OnSync() fires after every state-board refresh so policies can update
-// derived state (adaptive priority mode, dynamic budget splits).
+// The decision inputs (L_sub, priority sides, split budgets, overload
+// flags) move only at a State Planner sync — the paper's asynchronous-
+// update model (§5.4). At every sync the policy reacts to the freshly
+// published board (OnSync), refreshes its estimator (RefreshEstimates) and
+// freezes the result into the next view (MakeView). SyncPolicyView writes
+// that step once; the simulator and the serve control plane both decide
+// through the view it returns until their next sync.
 #ifndef PARD_RUNTIME_DROP_POLICY_H_
 #define PARD_RUNTIME_DROP_POLICY_H_
 
@@ -45,24 +51,23 @@ struct AdmissionContext {
 
 // Immutable decision snapshot of a policy, valid for one sync interval.
 //
-// The serving control plane asks the policy for a fresh view after every
-// OnSync() (under the control lock) and publishes it through an RCU-style
-// snapshot cell; between syncs broker threads call the view's const methods
-// with NO lock held. A view must therefore be self-contained: every decision
-// input (estimates, budgets, priority sides, overload flags) is copied out
-// of the policy at build time, and the const methods may not touch mutable
-// policy or board state.
+// The simulator reads the view from its single event loop; the serving
+// control plane publishes it through an RCU-style snapshot cell and broker
+// threads call its const methods with NO lock held. A view must therefore
+// be self-contained: every decision input (estimates, budgets, priority
+// sides, overload flags) is copied out of the policy at build time, and the
+// const methods may not touch mutable policy or board state.
 //
-// Randomized admission (the DAGOR-style baseline's Bernoulli shed) cannot be
-// lock-free with a shared RNG, so a view declares NeedsAdmissionRng() and
-// the control plane hands AdmitAtModule() an exclusively-held RNG from its
-// striped admission shards — contention spreads across shards instead of
-// serializing on one mutex.
+// Randomized admission (the DAGOR-style baseline's Bernoulli shed) cannot
+// share one RNG lock-free, so a view declares NeedsAdmissionRng() and the
+// caller hands AdmitAtModule() an RNG it holds exclusively: the simulator's
+// own admission stream, or one of the control plane's striped shards.
 class PolicyView {
  public:
   virtual ~PolicyView() = default;
 
-  // Request Broker predicate; same semantics as DropPolicy::ShouldDrop.
+  // Request Broker predicate: true = drop the request now (it never enters
+  // the forming batch and consumes no GPU time at this module).
   virtual bool ShouldDrop(const AdmissionContext& ctx) const = 0;
 
   // Queue-order decision; fixed per module until the next sync.
@@ -72,8 +77,8 @@ class PolicyView {
     return PopSide::kOldest;
   }
 
-  // Enqueue-time admission. `rng` is non-null iff NeedsAdmissionRng(): the
-  // control plane's per-shard RNG, exclusively held for this call.
+  // Enqueue-time admission; false = shed before queueing. `rng` is non-null
+  // iff NeedsAdmissionRng(), and exclusively held for this call.
   virtual bool AdmitAtModule(const Request& request, int module_id, SimTime now,
                              Rng* rng) const {
     (void)request;
@@ -97,24 +102,13 @@ class DropPolicy {
     board_ = board;
   }
 
-  // Request Broker decision: true = drop the request now (it never enters
-  // the forming batch and consumes no GPU time at this module).
-  virtual bool ShouldDrop(const AdmissionContext& ctx) = 0;
-
-  // Queue-order decision for the module's workers.
-  virtual PopSide ChoosePopSide(int module_id, SimTime now) {
-    (void)module_id;
-    (void)now;
-    return PopSide::kOldest;
-  }
-
-  // Enqueue-time admission; false = shed before queueing.
-  virtual bool AdmitAtModule(const Request& request, int module_id, SimTime now) {
-    (void)request;
-    (void)module_id;
-    (void)now;
-    return true;
-  }
+  // Retired decision entry points: every decision lives on the PolicyView
+  // returned by MakeView(). No runtime calls these; their bodies fail a
+  // check that says so. They remain only so that existing decorators which
+  // forward them still compile.
+  virtual bool ShouldDrop(const AdmissionContext& ctx);
+  virtual PopSide ChoosePopSide(int module_id, SimTime now);
+  virtual bool AdmitAtModule(const Request& request, int module_id, SimTime now);
 
   // Whether the broker may evict queued requests whose deadline has already
   // passed (they are unservable under any decision). Every dropping policy
@@ -124,26 +118,19 @@ class DropPolicy {
   // Invoked right after every state-board sync.
   virtual void OnSync(SimTime now) { (void)now; }
 
-  // Serve-mode estimator refresh, invoked by the control plane between
-  // OnSync() and MakeView() on its lock-free sync path. Policies with an
-  // epoch-cached estimator refresh it incrementally here (PARD fans
-  // dirty-module work across `pool`; nullptr = run inline) so the following
-  // MakeView() is pure cache reads. The default no-op keeps out-of-tree
-  // policies on the lazy refresh-inside-MakeView behavior. Never called by
-  // the simulator or the locked fallback path — results there must stay
-  // bit-identical to the lazy shared-stream draws.
+  // Estimator refresh, invoked between OnSync() and MakeView() at every
+  // sync and once before the first view. Policies with an epoch-cached
+  // estimator refresh it incrementally here (PARD fans dirty-module work
+  // across `pool`; nullptr = run inline) so the following MakeView() is
+  // pure cache reads.
   virtual PolicyRefreshStats RefreshEstimates(ThreadPool* pool) {
     (void)pool;
     return {};
   }
 
-  // Builds an immutable decision snapshot of this policy's current state
-  // (see PolicyView). The serving control plane calls this under its lock
-  // right after OnSync(); the returned view is then read lock-free by every
-  // broker until the next sync replaces it. Returning nullptr (the default)
-  // opts the policy out of snapshotting: the control plane falls back to
-  // serializing every decision behind its mutex, which is always correct.
-  virtual std::shared_ptr<const PolicyView> MakeView() { return nullptr; }
+  // Builds the immutable decision snapshot of this policy's current state
+  // (see PolicyView). Must not return null.
+  virtual std::shared_ptr<const PolicyView> MakeView() = 0;
 
   virtual std::string Name() const = 0;
 
@@ -151,6 +138,21 @@ class DropPolicy {
   const PipelineSpec* spec_ = nullptr;
   const StateBoard* board_ = nullptr;
 };
+
+// The view a substrate decides through until its next sync, plus what the
+// estimator refresh that fed it did.
+struct PolicyEpoch {
+  std::shared_ptr<const PolicyView> view;
+  PolicyRefreshStats refresh;
+};
+
+// The first view of a run, built once the policy is bound:
+// RefreshEstimates(pool) then MakeView(). Fails a check if the view is null.
+PolicyEpoch BuildPolicyView(DropPolicy& policy, ThreadPool* pool);
+
+// The State Planner's per-sync step, shared by the simulator's SyncTick and
+// ControlPlane::Sync: OnSync(now), then BuildPolicyView(policy, pool).
+PolicyEpoch SyncPolicyView(DropPolicy& policy, SimTime now, ThreadPool* pool);
 
 }  // namespace pard
 

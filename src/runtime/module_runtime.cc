@@ -11,8 +11,7 @@ namespace pard {
 
 ModuleRuntime::ModuleRuntime(Simulation* sim, PipelineRuntime* pipeline, BackendFleet* fleet,
                              const ModuleSpec& spec, const ModelProfile& profile, int batch_size,
-                             int initial_workers, const RuntimeOptions& options,
-                             DropPolicy* policy)
+                             int initial_workers, const RuntimeOptions& options)
     : sim_(sim),
       pipeline_(pipeline),
       fleet_(fleet),
@@ -20,7 +19,6 @@ ModuleRuntime::ModuleRuntime(Simulation* sim, PipelineRuntime* pipeline, Backend
       profile_(profile),
       batch_size_(batch_size),
       options_(options),
-      policy_(policy),
       jitter_rng_(Rng(options.seed).Fork("jitter:" + std::to_string(spec.id))),
       queue_delay_window_(options.stats_window),
       stage_latency_window_(options.stats_window),
@@ -90,7 +88,7 @@ void ModuleRuntime::Receive(RequestPtr req) {
   if (req->Terminal()) {
     return;  // Dropped on another branch before delivery.
   }
-  if (!policy_->AdmitAtModule(*req, spec_.id, now)) {
+  if (!pipeline_->view().AdmitAtModule(*req, spec_.id, now, pipeline_->admission_rng())) {
     req->hops[static_cast<std::size_t>(spec_.id)].arrive = now;
     OnPolicyDrop(std::move(req), DropReason::kProactiveAdmission);
     return;

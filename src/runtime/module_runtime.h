@@ -15,7 +15,6 @@
 #include "models/model_profile.h"
 #include "pipeline/pipeline_spec.h"
 #include "runtime/backend_fleet.h"
-#include "runtime/drop_policy.h"
 #include "runtime/rate_monitor.h"
 #include "runtime/request.h"
 #include "runtime/runtime_options.h"
@@ -35,7 +34,7 @@ class ModuleRuntime {
  public:
   ModuleRuntime(Simulation* sim, PipelineRuntime* pipeline, BackendFleet* fleet,
                 const ModuleSpec& spec, const ModelProfile& profile, int batch_size,
-                int initial_workers, const RuntimeOptions& options, DropPolicy* policy);
+                int initial_workers, const RuntimeOptions& options);
 
   // Delivery from the dispatcher (or pipeline ingress).
   void Receive(RequestPtr req);
@@ -76,7 +75,6 @@ class ModuleRuntime {
   int module_id() const { return spec_.id; }
   int batch_size() const { return batch_size_; }
   const ModelProfile& profile() const { return profile_; }
-  DropPolicy* policy() const { return policy_; }
   PipelineRuntime* pipeline() const { return pipeline_; }
   Simulation* sim() const { return sim_; }
   const RuntimeOptions& options() const { return options_; }
@@ -124,7 +122,6 @@ class ModuleRuntime {
   const ModelProfile& profile_;
   int batch_size_;
   RuntimeOptions options_;
-  DropPolicy* policy_;
   Rng jitter_rng_;
 
   // shared_ptr so deferred cold-start events can hold weak references and

@@ -17,6 +17,7 @@ PipelineRuntime::PipelineRuntime(const PipelineSpec& spec, const RuntimeOptions&
     : spec_(spec),
       options_(options),
       policy_(policy),
+      admission_rng_(Rng(options.seed).Fork("admission")),
       board_(spec.NumModules()),
       lifecycle_(&spec_, options_),
       batch_sizes_(PlanBatchSizes(spec)),
@@ -24,11 +25,13 @@ PipelineRuntime::PipelineRuntime(const PipelineSpec& spec, const RuntimeOptions&
   PARD_CHECK(policy_ != nullptr);
   const std::vector<int> workers = PlanInitialWorkers(spec_, batch_sizes_, options_, expected_rate);
   policy_->Bind(&spec_, &board_);
+  purge_expired_ = policy_->PurgeExpired();
+  view_ = BuildPolicyView(*policy_, nullptr).view;
   for (const ModuleSpec& m : spec_.modules()) {
     modules_.push_back(std::make_unique<ModuleRuntime>(
         &sim_, this, &fleet_, m, ProfileRegistry::Get(m.model),
         batch_sizes_[static_cast<std::size_t>(m.id)], workers[static_cast<std::size_t>(m.id)],
-        options_, policy_));
+        options_));
   }
   // Periodic control-plane ticks.
   sim_.ScheduleAfter(options_.sync_period, [this] { SyncTick(); });
@@ -125,8 +128,8 @@ void PipelineRuntime::Complete(RequestPtr req) {
 void PipelineRuntime::SyncTick() {
   const SimTime now = sim_.Now();
   if (now < stall_until_) {
-    // Chaos stall-sync: skip the publish entirely (board and policy keep the
-    // previous epoch's view) but keep the tick alive so syncing resumes.
+    // Chaos stall-sync: skip the publish entirely (board, policy and view
+    // keep the previous epoch) but keep the tick alive so syncing resumes.
     if (now <= last_arrival_ + options_.drain) {
       sim_.ScheduleAfter(options_.sync_period, [this] { SyncTick(); });
     }
@@ -135,7 +138,7 @@ void PipelineRuntime::SyncTick() {
   for (auto& m : modules_) {
     m->Sync(now, &board_);
   }
-  policy_->OnSync(now);
+  view_ = SyncPolicyView(*policy_, now, nullptr).view;
   if (TenantGovernor* governor = lifecycle_.governor(); governor != nullptr) {
     // Recompute the weighted shed plan from the states just published —
     // same staleness as every other control-plane consumer.

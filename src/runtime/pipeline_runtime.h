@@ -15,6 +15,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/tenant_governor.h"
 #include "pipeline/pipeline_spec.h"
 #include "runtime/backend_fleet.h"
@@ -69,6 +70,16 @@ class PipelineRuntime {
   void Drop(RequestPtr req, int module_id, DropReason reason);
   RequestLifecycle& lifecycle() { return lifecycle_; }
 
+  // The policy's decision view for the current sync interval (built by
+  // SyncPolicyView at construction and every sync tick; a stalled sync keeps
+  // the previous one). Workers and module controllers decide through it.
+  const PolicyView& view() const { return *view_; }
+  // DropPolicy::PurgeExpired, a fixed per-policy property.
+  bool purge_expired() const { return purge_expired_; }
+  // The admission stream for views that NeedsAdmissionRng() (pard-oc's
+  // Bernoulli shed), forked from RuntimeOptions::seed; null otherwise.
+  Rng* admission_rng() { return view_->NeedsAdmissionRng() ? &admission_rng_ : nullptr; }
+
   // Total successful re-enqueues after worker failures (resilience path).
   std::uint64_t retries() const { return lifecycle_.retries(); }
 
@@ -90,6 +101,9 @@ class PipelineRuntime {
   PipelineSpec spec_;
   RuntimeOptions options_;
   DropPolicy* policy_;
+  std::shared_ptr<const PolicyView> view_;
+  bool purge_expired_ = true;
+  Rng admission_rng_;
   Simulation sim_;
   StateBoard board_;
   RequestLifecycle lifecycle_;
@@ -105,8 +119,8 @@ class PipelineRuntime {
   SimTime last_arrival_ = 0;
   std::int64_t sync_count_ = 0;
   // Chaos stall-sync window: SyncTick keeps rescheduling but skips the
-  // publish while now < stall_until_, so policies read a stale board exactly
-  // like serve readers see a stale snapshot.
+  // publish while now < stall_until_, so decisions read the previous view
+  // exactly like serve readers see a stale snapshot.
   SimTime stall_until_ = 0;
 };
 

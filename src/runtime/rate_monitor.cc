@@ -73,20 +73,27 @@ double RateMonitor::Smoothed(SimTime now) {
 
 double RateMonitor::Burstiness(SimTime now) {
   Evict(now);
-  if (bins_.size() < 2) {
-    return 0.0;
-  }
+  // Only complete one-second bins are comparable observations. The bin still
+  // filling at `now` holds a fraction of a second's arrivals; counting it as
+  // a full second inflates eps at every sync that lands just past a second
+  // boundary (every serve sync does), which widens the adaptive-priority band
+  // and can hold an overloaded module in LBF.
+  std::size_t complete = 0;
   double sum = 0.0;
   for (const Bin& b : bins_) {
+    if (b.start + kUsPerSec > now) {
+      break;
+    }
     sum += static_cast<double>(b.count);
+    ++complete;
   }
-  if (sum <= 0.0) {
+  if (complete < 2 || sum <= 0.0) {
     return 0.0;
   }
-  const double mean = sum / static_cast<double>(bins_.size());
+  const double mean = sum / static_cast<double>(complete);
   double dev = 0.0;
-  for (const Bin& b : bins_) {
-    dev += std::abs(static_cast<double>(b.count) - mean);
+  for (std::size_t i = 0; i < complete; ++i) {
+    dev += std::abs(static_cast<double>(bins_[i].count) - mean);
   }
   return dev / sum;
 }

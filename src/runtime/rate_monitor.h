@@ -34,7 +34,8 @@ class RateMonitor {
   // window's first moments are not over-extrapolated).
   double Smoothed(SimTime now);
 
-  // eps = sum|count - mean| / sum count over in-window bins; 0 with < 2 bins.
+  // eps = sum|count - mean| / sum count over the in-window bins that are
+  // complete at `now`; 0 with < 2 such bins.
   double Burstiness(SimTime now);
 
   // Sums another monitor's bins into this one. Bins align on absolute

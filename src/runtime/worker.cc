@@ -49,9 +49,9 @@ void Worker::Enqueue(RequestPtr req) {
 }
 
 void Worker::FillFormingBatch() {
-  DropPolicy* policy = module_->policy();
+  PipelineRuntime* pipeline = module_->pipeline();
   const int batch_size = module_->batch_size();
-  if (policy->PurgeExpired()) {
+  if (pipeline->purge_expired()) {
     // Requests whose deadline passed while queued are unservable under any
     // policy; evict them from the min end of the DEPQ so backlogs stay
     // bounded by the deadline horizon.
@@ -67,7 +67,7 @@ void Worker::FillFormingBatch() {
     }
   }
   while (static_cast<int>(forming_.size()) < batch_size && !queue_.Empty()) {
-    const PopSide side = policy->ChoosePopSide(module_->module_id(), sim_->Now());
+    const PopSide side = pipeline->view().ChoosePopSide(module_->module_id(), sim_->Now());
     RequestPtr req = queue_.Pop(side);
     if (req == nullptr) {
       break;
@@ -86,7 +86,7 @@ void Worker::FillFormingBatch() {
     ctx.batch_duration = module_->profile().BatchDuration(batch_size);
     ctx.batch_size = batch_size;
     HopRecord& hop = req->hops[static_cast<std::size_t>(module_->module_id())];
-    if (policy->ShouldDrop(ctx)) {
+    if (pipeline->view().ShouldDrop(ctx)) {
       hop.batch_entry = now;
       module_->OnPolicyDrop(std::move(req), DropReason::kBrokerCandidate);
       continue;

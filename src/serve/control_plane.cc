@@ -13,32 +13,26 @@ ControlPlane::ControlPlane(const PipelineSpec* spec, DropPolicy* policy, StateBo
                            Options options)
     : policy_(policy),
       board_(board),
-      force_locked_(options.force_locked),
       staleness_budget_(options.staleness_budget),
       snapshot_(std::make_unique<const ControlSnapshot>()) {
   PARD_CHECK(spec != nullptr && policy_ != nullptr && board_ != nullptr);
-  PARD_CHECK(options.admission_shards >= 1);
   PARD_CHECK(options.staleness_budget >= 0);
   PARD_CHECK(options.refresh_threads >= 0);
   policy_->Bind(spec, board_);
   purge_expired_ = policy_->PurgeExpired();
   Rng seeder(options.seed);
-  for (int i = 0; i < options.admission_shards; ++i) {
-    auto shard = std::make_unique<AdmissionShard>();
-    shard->rng = seeder.Fork("admission-shard:" + std::to_string(i));
-    shards_.push_back(std::move(shard));
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    shards_[i].rng = seeder.Fork("admission-shard:" + std::to_string(i));
   }
-  if (options.parallel_refresh) {
-    refresh_pool_ =
-        std::make_unique<ThreadPool>(ThreadPool::ResolveJobs(options.refresh_threads));
+  const int refresh_threads = ThreadPool::ResolveJobs(options.refresh_threads);
+  if (refresh_threads > 1) {
+    refresh_pool_ = std::make_unique<ThreadPool>(refresh_threads);
   }
   // Replace the placeholder published at member construction with a real
   // snapshot (the policy is bound now, so it can build a view). Stamped at
   // t=0: with a staleness budget the first sync must land within it or the
   // readers degrade, exactly as they would under a stalled sync thread.
-  auto initial = BuildSnapshot(0);
-  has_view_ = initial->view != nullptr;
-  snapshot_.Publish(std::move(initial));
+  snapshot_.Publish(BuildSnapshot(0, BuildPolicyView(*policy_, refresh_pool_.get()).view));
 }
 
 ControlPlane::ControlPlane(const PipelineSpec* spec, DropPolicy* policy, StateBoard* board)
@@ -46,7 +40,8 @@ ControlPlane::ControlPlane(const PipelineSpec* spec, DropPolicy* policy, StateBo
 
 ControlPlane::~ControlPlane() = default;
 
-std::unique_ptr<const ControlSnapshot> ControlPlane::BuildSnapshot(SimTime now) {
+std::unique_ptr<const ControlSnapshot> ControlPlane::BuildSnapshot(
+    SimTime now, std::shared_ptr<const PolicyView> view) {
   auto snap = std::make_unique<ControlSnapshot>();
   snap->board_version = board_->Version();
   snap->published_at = now;
@@ -60,7 +55,7 @@ std::unique_ptr<const ControlSnapshot> ControlPlane::BuildSnapshot(SimTime now) 
     state.wait_samples.shrink_to_fit();
     snap->states.push_back(std::move(state));
   }
-  snap->view = policy_->MakeView();
+  snap->view = std::move(view);
   return snap;
 }
 
@@ -87,88 +82,46 @@ bool ControlPlane::Stale(const ControlSnapshot& snap, SimTime now) {
 }
 
 bool ControlPlane::ShouldDrop(const AdmissionContext& ctx) {
-  if (!force_locked_) {
-    auto snap = snapshot_.Read();
-    if (snap->view != nullptr) {
-      if (Stale(*snap, ctx.now)) {
-        return ctx.batch_start + ctx.batch_duration > ctx.request->deadline;
-      }
-      return snap->view->ShouldDrop(ctx);
-    }
+  auto snap = snapshot_.Read();
+  if (Stale(*snap, ctx.now)) {
+    return ctx.batch_start + ctx.batch_duration > ctx.request->deadline;
   }
-  LockOrderGuard order(LockRank::kControl);
-  std::lock_guard<std::mutex> lock(mu_);
-  return policy_->ShouldDrop(ctx);
+  return snap->view->ShouldDrop(ctx);
 }
 
 PopSide ControlPlane::ChoosePopSide(int module_id, SimTime now) {
-  if (!force_locked_) {
-    auto snap = snapshot_.Read();
-    if (snap->view != nullptr) {
-      if (Stale(*snap, now)) {
-        return PopSide::kOldest;
-      }
-      return snap->view->ChoosePopSide(module_id, now);
-    }
+  auto snap = snapshot_.Read();
+  if (Stale(*snap, now)) {
+    return PopSide::kOldest;
   }
-  LockOrderGuard order(LockRank::kControl);
-  std::lock_guard<std::mutex> lock(mu_);
-  return policy_->ChoosePopSide(module_id, now);
+  return snap->view->ChoosePopSide(module_id, now);
 }
 
 bool ControlPlane::AdmitAtModule(const Request& request, int module_id, SimTime now) {
-  if (!force_locked_) {
-    auto snap = snapshot_.Read();
-    if (snap->view != nullptr) {
-      if (Stale(*snap, now)) {
-        return request.RemainingBudget(now) > 0;
-      }
-      if (!snap->view->NeedsAdmissionRng()) {
-        return snap->view->AdmitAtModule(request, module_id, now, nullptr);
-      }
-      AdmissionShard& shard = ShardFor(request);
-      LockOrderGuard order(LockRank::kAdmissionShard);
-      std::lock_guard<std::mutex> lock(shard.mu);
-      return snap->view->AdmitAtModule(request, module_id, now, &shard.rng);
-    }
+  auto snap = snapshot_.Read();
+  if (Stale(*snap, now)) {
+    return request.RemainingBudget(now) > 0;
   }
-  LockOrderGuard order(LockRank::kControl);
-  std::lock_guard<std::mutex> lock(mu_);
-  return policy_->AdmitAtModule(request, module_id, now);
+  if (!snap->view->NeedsAdmissionRng()) {
+    return snap->view->AdmitAtModule(request, module_id, now, nullptr);
+  }
+  AdmissionShard& shard = ShardFor(request);
+  LockOrderGuard order(LockRank::kAdmissionShard);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  return snap->view->AdmitAtModule(request, module_id, now, &shard.rng);
 }
 
 ControlPlane::SyncStats ControlPlane::Sync(std::vector<ModuleState> states, SimTime now) {
-  SyncStats stats;
-  if (LockFree()) {
-    // Off-lock sync: when every broker decision reads published snapshots
-    // (LockFree()), the board and policy have exactly one mutating thread —
-    // this one — so the whole publish → OnSync → refresh → rebuild sequence
-    // needs no mutex. Brokers keep deciding against the previous snapshot
-    // until the single Publish() below swaps in the new one.
-    for (ModuleState& state : states) {
-      board_->Publish(std::move(state));
-    }
-    policy_->OnSync(now);
-    const PolicyRefreshStats refresh = policy_->RefreshEstimates(refresh_pool_.get());
-    stats.refreshed = refresh.refreshed;
-    stats.skipped = refresh.skipped;
-    stats.off_lock = true;
-    auto snap = BuildSnapshot(now);
-    // LockFree() implies the initial snapshot carried a view; a policy whose
-    // MakeView() goes null mid-run would silently flip brokers onto the
-    // locked path this sync no longer serializes with.
-    PARD_CHECK(snap->view != nullptr);
-    snapshot_.Publish(std::move(snap));
-    return stats;
-  }
-  LockOrderGuard order(LockRank::kControl);
-  std::lock_guard<std::mutex> lock(mu_);
+  // The board and policy have exactly one mutating thread — this one — so
+  // the publish → sync step → rebuild sequence needs no mutex. Brokers keep
+  // deciding against the previous snapshot until the single Publish() below
+  // swaps in the new one.
   for (ModuleState& state : states) {
     board_->Publish(std::move(state));
   }
-  policy_->OnSync(now);
-  snapshot_.Publish(BuildSnapshot(now));
-  return stats;
+  PolicyEpoch epoch = SyncPolicyView(*policy_, now, refresh_pool_.get());
+  snapshot_.Publish(BuildSnapshot(now, std::move(epoch.view)));
+  return SyncStats{epoch.refresh.refreshed, epoch.refresh.skipped};
 }
 
 }  // namespace pard

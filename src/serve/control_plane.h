@@ -1,14 +1,9 @@
 // The serve-side control plane: lock-free broker reads over RCU snapshots.
 //
-// None of the decision-time machinery is internally synchronized: the
-// estimator's epoch cache and RNG mutate on every estimate, the adaptive
-// priority controllers mutate on OnSync(), and StateBoard::Publish bumps the
-// version counter the caches key on. The simulator's single event loop
-// serializes all of it for free; in the serving runtime many broker threads
-// (module workers forming batches plus ingress admission threads) decide
-// concurrently. PR 4's answer was one mutex around everything — correct,
-// but every decision serialized. This control plane splits the problem by
-// write frequency instead:
+// Many broker threads (module workers forming batches plus ingress
+// admission threads) decide concurrently, while the policy, its estimator
+// and the StateBoard are not internally synchronized. The control plane
+// splits the problem by write frequency:
 //
 //   READ PATH (hot, every request): ShouldDrop / ChoosePopSide /
 //   AdmitAtModule pin the current ControlSnapshot through an epoch-based
@@ -17,39 +12,31 @@
 //   mutually consistent: they all see the same sync's state.
 //
 //   WRITE PATH (cold, once per sync period): Sync() publishes the module
-//   states to the StateBoard, runs the policy's OnSync(), refreshes the
-//   policy's estimator incrementally (RefreshEstimates — only modules whose
-//   inputs moved are re-drawn, optionally fanned across the refresh pool),
-//   builds the next ControlSnapshot and publishes it with one SnapshotCell
-//   store. On the snapshot path ALL of that runs off the control mutex:
-//   when LockFree() holds, no broker ever takes mu_ or touches the
-//   board/policy (they only read published snapshots), and Sync has exactly
-//   one caller (the control thread) — so a slow refresh can no longer stall
-//   a single broker decision. Retired snapshots are reclaimed once no
-//   reader pins them. Policies without a view (and force_locked) keep the
-//   historical everything-under-mu_ sync, which also skips the incremental
-//   refresh — their estimates come from the lazy shared-stream draws,
-//   bit-identical to the pre-refactor behavior.
+//   states to the StateBoard, runs the State Planner step the simulator
+//   also runs (SyncPolicyView: OnSync, the incremental estimator refresh —
+//   optionally fanned across the refresh pool — and MakeView), builds the
+//   next ControlSnapshot and publishes it with one SnapshotCell store. No
+//   broker ever touches the board or the policy, and Sync has exactly one
+//   caller (the control thread), so the whole write path runs without a
+//   mutex and a slow refresh never stalls a broker decision. Retired
+//   snapshots are reclaimed once no reader pins them.
 //
 //   SHARDED RESIDUE: policies whose admission needs randomness (the DAGOR
 //   baseline's Bernoulli shed) draw from per-shard RNGs behind striped
 //   mutexes picked by request id, so admission entropy scales with shards
 //   instead of serializing globally.
 //
-// Policies that return no view (MakeView() == nullptr, the default for
-// out-of-tree policies) fall back to the single-mutex path — the exact
-// PR 4 behavior, also selectable via Options::force_locked as the baseline
-// leg of the bench/micro_overhead.cc admission benchmark.
+// Every policy must return a view: a null view fails a check at
+// construction (BuildPolicyView).
 //
 // Lock ordering (enforced in debug builds by common/lock_order.h): a worker
-// may take the control mutex (fallback path) or an admission-shard mutex
-// while holding its module's queue-shard lock, never the reverse. The sync
-// path snapshots module state FIRST (module-side locks, one at a time) and
-// publishes SECOND (control lock), never holding both. TSan-cleanliness of
-// the serve suite pins the whole contract.
+// may take an admission-shard mutex while holding its module's queue-shard
+// lock, never the reverse. TSan-cleanliness of the serve suite pins the
+// whole contract.
 #ifndef PARD_SERVE_CONTROL_PLANE_H_
 #define PARD_SERVE_CONTROL_PLANE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -66,8 +53,7 @@ namespace pard {
 class ThreadPool;
 
 // One sync interval's frozen control state: the board states as published,
-// and the policy's immutable decision view (null when the policy opted out
-// of snapshotting).
+// and the policy's immutable decision view.
 struct ControlSnapshot {
   std::uint64_t board_version = 0;
   // Virtual time at which Sync() published this snapshot (0 for the initial
@@ -85,30 +71,22 @@ struct ControlSnapshot {
 class ControlPlane {
  public:
   struct Options {
-    // Striped admission-RNG shards for randomized admission policies.
-    int admission_shards = 8;
-    // Seeds the per-shard RNG forks.
+    // Seeds the per-shard admission RNG forks.
     std::uint64_t seed = 1234;
-    // Forces every decision through the single-mutex fallback even when the
-    // policy provides a view — the pre-sharding baseline, kept honest by
-    // the bench/micro_overhead.cc admission benchmark.
-    bool force_locked = false;
     // Graceful degradation: when > 0 and the pinned snapshot's published_at
     // is older than this, broker decisions fall back to a conservative
     // static rule instead of trusting a stale estimator (see the reader
     // implementations for the exact rules). 0 disables the check.
     Duration staleness_budget = 0;
-    // Fan the policy's incremental estimator refresh across a thread pool
-    // during Sync() (per-module forked RNG streams keep the result
-    // identical at any thread count). false = run the refresh inline on the
-    // control thread; the refresh itself stays incremental either way.
-    // Only consulted on the lock-free sync path — the locked fallback keeps
-    // the historical lazy refresh.
-    bool parallel_refresh = true;
-    // Refresh-pool threads; 0 = one per hardware thread
-    // (ThreadPool::ResolveJobs). Ignored unless parallel_refresh.
+    // Threads for the policy's incremental estimator refresh during Sync()
+    // (per-module forked RNG streams keep the result identical at any
+    // thread count). 0 = one per hardware thread (ThreadPool::ResolveJobs);
+    // 1 = run the refresh inline on the control thread, with no pool.
     int refresh_threads = 0;
   };
+
+  // Striped admission-RNG shards for randomized admission policies.
+  static constexpr int kAdmissionShards = 8;
 
   // `policy` and `board` must outlive the control plane. Binds the policy to
   // the spec/board like PipelineRuntime does, and publishes the initial
@@ -128,21 +106,15 @@ class ControlPlane {
   // batch formation does not pin a snapshot just to re-read it.
   bool PurgeExpired() const { return purge_expired_; }
 
-  // State sync: publishes every module state, lets the policy react,
-  // refreshes its estimator incrementally, then swaps in the next snapshot.
-  // Entirely off the control lock when LockFree() holds (see the WRITE PATH
-  // note above); one control-lock acquisition on the fallback path. Single
-  // caller only — the control thread owns both the board and the snapshot
-  // cell's writer side.
+  // State sync: publishes every module state, runs the policy's sync step,
+  // then swaps in the next snapshot. Single caller only — the control
+  // thread owns both the board and the snapshot cell's writer side.
   struct SyncStats {
     int refreshed = 0;   // estimator cache entries recomputed
     int skipped = 0;     // estimator cache entries reused unchanged
-    bool off_lock = false;  // true = snapshot path, mu_ never taken
   };
   SyncStats Sync(std::vector<ModuleState> states, SimTime now);
 
-  // True when broker decisions run on the lock-free snapshot path.
-  bool LockFree() const { return !force_locked_ && has_view_; }
   // Snapshot epochs are monotone: 1 at construction, +1 per Sync.
   std::uint64_t SnapshotEpoch() const { return snapshot_.Epoch(); }
   // Broker decisions answered by the conservative static fallback because
@@ -157,30 +129,27 @@ class ControlPlane {
     Rng rng{1};
   };
 
-  // Builds the snapshot for the current board/policy state, stamped with the
-  // publish time. Caller is the control thread: either holding mu_ (locked
-  // fallback, constructor) or off-lock on the snapshot path, where the
-  // board/policy have no other readers or writers.
-  std::unique_ptr<const ControlSnapshot> BuildSnapshot(SimTime now);
+  // Builds the snapshot for the current board state around `view`, stamped
+  // with the publish time. Caller is the control thread, where the board
+  // has no other readers or writers.
+  std::unique_ptr<const ControlSnapshot> BuildSnapshot(SimTime now,
+                                                       std::shared_ptr<const PolicyView> view);
   // True when the staleness budget is enabled and `snap` is too old at
   // `now`; counts the fallback.
   bool Stale(const ControlSnapshot& snap, SimTime now);
   AdmissionShard& ShardFor(const Request& request) {
-    return *shards_[static_cast<std::size_t>(request.id) % shards_.size()];
+    return shards_[static_cast<std::size_t>(request.id) % shards_.size()];
   }
 
-  mutable std::mutex mu_;  // LockRank::kControl.
   DropPolicy* policy_;
   StateBoard* board_;
   bool purge_expired_ = false;
-  bool force_locked_ = false;
   Duration staleness_budget_ = 0;
-  bool has_view_ = false;  // Written once in the constructor, then const.
   std::atomic<std::uint64_t> stale_fallbacks_{0};
-  std::vector<std::unique_ptr<AdmissionShard>> shards_;
-  // Workers for the policy's incremental estimator refresh; null when
-  // Options::parallel_refresh is off (refresh runs inline on the control
-  // thread). Owned here so the pool outlives every Sync.
+  std::array<AdmissionShard, kAdmissionShards> shards_;
+  // Workers for the policy's incremental estimator refresh; null when the
+  // refresh runs inline on the control thread. Owned here so the pool
+  // outlives every Sync.
   std::unique_ptr<ThreadPool> refresh_pool_;
   SnapshotCell<ControlSnapshot> snapshot_;
 };

@@ -43,7 +43,7 @@
 //   - mu_ (kModule) guards the roster and the worker sleep/wake state only.
 //   - Each QueueShard::mu (kQueueShard) guards that shard's queue and
 //     monitoring slice. Workers may take a shard lock, then the control
-//     plane's locks (kQueueShard < kAdmissionShard < kControl) and the
+//     plane's admission shards (kQueueShard < kAdmissionShard) and the
 //     runtime's fate stripes (kFate) — never the reverse.
 //   - queued_ is the module-wide live-entry count; Receive() bumps it and
 //     performs an empty lock/unlock of mu_ before notifying so a worker

@@ -48,15 +48,10 @@ struct ServeOptions {
   // the source module becomes approximate across brokers.
   int broker_threads = 1;
 
-  // Fan the policy's incremental estimator refresh across a thread pool at
-  // every control sync (ControlPlane::Options::parallel_refresh). Default
-  // true. Per-module forked RNG streams keep the refreshed estimates
-  // identical at any thread count; false runs the same incremental refresh
-  // inline on the control thread.
-  bool parallel_refresh = true;
-
-  // Refresh-pool threads; 0 (default) = one per hardware thread. Ignored
-  // unless parallel_refresh.
+  // Threads fanning the policy's incremental estimator refresh at every
+  // control sync (ControlPlane::Options::refresh_threads): 0 (default) = one
+  // per hardware thread, 1 = inline on the control thread. Per-module forked
+  // RNG streams keep the refreshed estimates identical at any thread count.
   int refresh_threads = 0;
 };
 

@@ -51,7 +51,6 @@ ControlPlane::Options MakeControlOptions(const RuntimeOptions& options,
   ControlPlane::Options control;
   control.seed = options.seed;
   control.staleness_budget = options.resilience.staleness_budget;
-  control.parallel_refresh = serve.parallel_refresh;
   control.refresh_threads = serve.refresh_threads;
   return control;
 }

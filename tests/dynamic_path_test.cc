@@ -81,6 +81,16 @@ TEST(DynamicPath, StaticPipelinesUnaffected) {
   EXPECT_TRUE(r->hops[2].executed);
 }
 
+// True when pard-path's view drops `req` at module 0 with the batch starting
+// at t_s and d_k = 0, i.e. when its L_sub exceeds `slo` (Eq. 3).
+bool DropsAtSource(const PolicyView& view, Request req, Duration slo) {
+  req.slo = slo;
+  AdmissionContext ctx;
+  ctx.request = &req;
+  ctx.module_id = 0;
+  return view.ShouldDrop(ctx);
+}
+
 TEST(DynamicPath, EstimatorFiltersInconsistentPaths) {
   const PipelineSpec da = MakeDagLiveVideo();
   StateBoard board(5);
@@ -90,29 +100,35 @@ TEST(DynamicPath, EstimatorFiltersInconsistentPaths) {
     s.batch_duration = (i == 1) ? 50 * kUsPerMs : 5 * kUsPerMs;  // Pose slow.
     board.Publish(std::move(s));
   }
-  EstimatorOptions options;
-  options.include_wait = false;
-  options.include_queue = false;
-  LatencyEstimator est(&da, &board, options, Rng(2));
+  PardOptions options;
+  options.path_prediction = true;
+  options.estimator.include_wait = false;
+  options.estimator.include_queue = false;
+  PardPolicy policy(options);
+  policy.Bind(&da, &board);
+  const std::shared_ptr<const PolicyView> view = BuildPolicyView(policy, nullptr).view;
+  // Static estimate from module 0 takes the slow pose path: 50+5+5 = 60 ms.
+  EXPECT_EQ(policy.estimator()->EstimateSubsequent(0), 60 * kUsPerMs);
 
   Request via_face;
   via_face.branch_choice.assign(5, -1);
   via_face.branch_choice[0] = 2;  // Face branch chosen at the fork.
   via_face.expected_arrivals.assign(5, 1);
-  // Static estimate from module 0 takes the slow pose path: 50+5+5 = 60 ms.
-  EXPECT_EQ(est.EstimateSubsequent(0), 60 * kUsPerMs);
   // Path-aware estimate follows the chosen face branch: 5+5+5 = 15 ms.
-  EXPECT_EQ(est.EstimateSubsequentForRequest(0, via_face), 15 * kUsPerMs);
+  EXPECT_FALSE(DropsAtSource(*view, via_face, 15 * kUsPerMs));
+  EXPECT_TRUE(DropsAtSource(*view, via_face, 15 * kUsPerMs - 1));
 
   Request via_pose;
   via_pose.branch_choice.assign(5, -1);
   via_pose.branch_choice[0] = 1;
   via_pose.expected_arrivals.assign(5, 1);
-  EXPECT_EQ(est.EstimateSubsequentForRequest(0, via_pose), 60 * kUsPerMs);
+  EXPECT_FALSE(DropsAtSource(*view, via_pose, 60 * kUsPerMs));
+  EXPECT_TRUE(DropsAtSource(*view, via_pose, 60 * kUsPerMs - 1));
 
   // Static requests fall back to the conservative maximum.
-  Request static_req;
-  EXPECT_EQ(est.EstimateSubsequentForRequest(0, static_req), 60 * kUsPerMs);
+  const Request static_req;
+  EXPECT_FALSE(DropsAtSource(*view, static_req, 60 * kUsPerMs));
+  EXPECT_TRUE(DropsAtSource(*view, static_req, 60 * kUsPerMs - 1));
 }
 
 TEST(DynamicPath, ConservationHoldsUnderLoad) {

@@ -429,6 +429,50 @@ TEST(LatencyEstimator, RefreshAllSkipsEntriesWhoseInputsDidNotMove) {
   EXPECT_GT(est.EstimateSubsequent(0), before);
 }
 
+// Modes whose w_k term reads no Monte-Carlo samples (PARD-upper, -lower,
+// -sf) must not pay for drawing them at every sync, and their estimates
+// stay the exact closed forms.
+TEST(LatencyEstimator, RefreshAllDrawsNoSamplesForRngFreeWaitModes) {
+  const PipelineSpec lv = MakeLiveVideo();
+  const Duration d = 10 * kUsPerMs;
+  const Duration q = 3 * kUsPerMs;
+  StateBoard board = UniformBoard(5, d, static_cast<double>(q));
+  EstimatorOptions upper;
+  upper.wait_mode = EstimatorOptions::WaitMode::kUpper;
+  EstimatorOptions lower;
+  lower.wait_mode = EstimatorOptions::WaitMode::kLower;
+  EstimatorOptions sf;
+  sf.include_queue = false;
+  sf.include_wait = false;
+  LatencyEstimator est_upper(&lv, &board, upper, Rng(51));
+  LatencyEstimator est_lower(&lv, &board, lower, Rng(52));
+  LatencyEstimator est_sf(&lv, &board, sf, Rng(53));
+  LatencyEstimator est_sweet(&lv, &board, EstimatorOptions(), Rng(54));
+
+  EXPECT_EQ(est_upper.RefreshAll(nullptr).redrawn, 0);
+  EXPECT_EQ(est_lower.RefreshAll(nullptr).redrawn, 0);
+  EXPECT_EQ(est_sf.RefreshAll(nullptr).redrawn, 0);
+  EXPECT_EQ(est_sweet.RefreshAll(nullptr).redrawn, 5);  // Control: it does draw.
+  // PARD-upper from module 0: sum q + sum d + sum d over the 4 downstream modules.
+  EXPECT_EQ(est_upper.EstimateSubsequent(0), 4 * q + 8 * d);
+  EXPECT_EQ(est_lower.EstimateSubsequent(0), 4 * q + 4 * d);
+  EXPECT_EQ(est_sf.EstimateSubsequent(0), 4 * d);
+
+  // A real input change recomputes the upstream entries, still without
+  // drawing, and moves the estimate by exactly the changed terms.
+  ModuleState slow;
+  slow.module_id = 2;
+  slow.batch_duration = 2 * d;
+  slow.avg_queue_delay = static_cast<double>(q);
+  slow.batch_size = 4;
+  board.Publish(std::move(slow));
+  const LatencyEstimator::RefreshStats stats = est_upper.RefreshAll(nullptr);
+  EXPECT_EQ(stats.redrawn, 0);
+  EXPECT_EQ(stats.refreshed, 2);  // Entries 0 and 1 have module 2 downstream.
+  EXPECT_EQ(est_upper.EstimateSubsequent(0), 4 * q + 10 * d);
+  EXPECT_EQ(est_upper.EstimateSubsequent(1), 3 * q + 8 * d);
+}
+
 TEST(LatencyEstimator, RefreshAllDeterministicAcrossThreadCounts) {
   // Per-module forked streams make the refresh a deterministic function of
   // each module's dirty-event count — the pooled fan-out must reproduce the

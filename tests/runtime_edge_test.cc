@@ -13,6 +13,7 @@
 #include "metrics/analysis.h"
 #include "pipeline/apps.h"
 #include "runtime/pipeline_runtime.h"
+#include "runtime/rate_monitor.h"
 #include "trace/arrival_generator.h"
 
 namespace pard {
@@ -31,8 +32,18 @@ class DropAtModulePolicy : public DropPolicy {
  public:
   DropAtModulePolicy(int module_id, SimTime after = 0)
       : module_id_(module_id), after_(after) {}
-  bool ShouldDrop(const AdmissionContext& ctx) override {
-    return ctx.module_id == module_id_ && ctx.now >= after_;
+  std::shared_ptr<const PolicyView> MakeView() override {
+    struct View final : PolicyView {
+      bool ShouldDrop(const AdmissionContext& ctx) const override {
+        return ctx.module_id == module_id && ctx.now >= after;
+      }
+      int module_id = -1;
+      SimTime after = 0;
+    };
+    auto view = std::make_shared<View>();
+    view->module_id = module_id_;
+    view->after = after_;
+    return view;
   }
   std::string Name() const override { return "drop-at-module"; }
 
@@ -258,6 +269,49 @@ TEST(ExecJitter, DeterministicAcrossRuns) {
     return total;
   };
   EXPECT_EQ(run(), run());
+}
+
+// Burstiness counts only complete one-second bins: a bin still filling at
+// the sync holds a fraction of a second's arrivals and is not comparable.
+TEST(RateMonitor, BurstinessIgnoresTheBinStillFilling) {
+  RateMonitor monitor(5 * kUsPerSec);
+  for (int i = 0; i < 500; ++i) {
+    monitor.Bump(i * (kUsPerSec / 250));  // 250/s over [0, 2 s).
+  }
+  for (int i = 0; i < 5; ++i) {
+    monitor.Bump(2 * kUsPerSec + i);  // The first arrivals of [2 s, 3 s).
+  }
+  EXPECT_EQ(monitor.Burstiness(2 * kUsPerSec + 10), 0.0);
+  // Two complete bins that differ still register.
+  RateMonitor uneven(5 * kUsPerSec);
+  for (int i = 0; i < 100; ++i) {
+    uneven.Bump(i);
+  }
+  for (int i = 0; i < 300; ++i) {
+    uneven.Bump(kUsPerSec + i);
+  }
+  EXPECT_DOUBLE_EQ(uneven.Burstiness(2 * kUsPerSec), 0.5);  // (100 + 100) / 400.
+  EXPECT_EQ(uneven.Burstiness(2 * kUsPerSec - 1), 0.0);    // Only one complete bin.
+}
+
+// Simulator regression: a sync that lands mid-second (1.5 s period) must not
+// read a constant-rate stream as bursty. Counting the half-filled bin gave
+// eps ~0.27 at the 2.5 s sync, which widens the adaptive-priority band; in
+// serve, where every sync lands just past a second boundary, that held an
+// overloaded module in LBF.
+TEST(RateMonitor, MidSecondSyncSeesConstantRateAsSteady) {
+  NaivePolicy policy;
+  RuntimeOptions options = FixedWorkers({8});
+  options.sync_period = 1500 * kUsPerMs;
+  ModuleSpec m;
+  m.id = 0;
+  m.model = "eye_tracking";
+  PipelineRuntime rt(PipelineSpec("steady", MsToUs(2000), {m}), options, &policy, 300.0);
+  for (SimTime t : GenerateUniformArrivals(300.0, 0, SecToUs(4))) {
+    rt.ScheduleArrival(t);
+  }
+  rt.Run(2500 * kUsPerMs + 1);  // Just past the second sync, at 2.5 s.
+  EXPECT_LT(rt.board().Get(0).burstiness, 0.01);
 }
 
 }  // namespace

@@ -6,11 +6,13 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/check.h"
 #include "common/lock_order.h"
+#include "baselines/policy_factory.h"
 #include "common/rng.h"
 #include "core/pard_policy.h"
 #include "pipeline/apps.h"
@@ -141,12 +143,12 @@ TEST(SnapshotCell, ConcurrentReadersUnderWriterChurn) {
 TEST(LockOrder, InOrderAcquisitionPasses) {
   LockOrderGuard module(LockRank::kModule);
   LockOrderGuard shard(LockRank::kQueueShard);
-  LockOrderGuard control(LockRank::kControl);
+  LockOrderGuard admission(LockRank::kAdmissionShard);
   LockOrderGuard fate(LockRank::kFate);
 }
 
 TEST(LockOrder, OutOfOrderAcquisitionThrows) {
-  LockOrderGuard control(LockRank::kControl);
+  LockOrderGuard admission(LockRank::kAdmissionShard);
   EXPECT_THROW(LockOrderGuard shard(LockRank::kQueueShard), CheckError);
   // The failed guard must not corrupt the stack: in-order still works.
   LockOrderGuard fate(LockRank::kFate);
@@ -189,12 +191,11 @@ std::vector<ModuleState> WarmStates(int n, Rng* rng) {
   return states;
 }
 
-TEST(ControlPlaneSnapshot, PardRunsLockFreeAndEpochAdvancesPerSync) {
+TEST(ControlPlaneSnapshot, EpochAdvancesPerSync) {
   const PipelineSpec lv = MakeLiveVideo();
   StateBoard board(lv.NumModules());
   PardPolicy policy;
   ControlPlane control(&lv, &policy, &board);
-  EXPECT_TRUE(control.LockFree());
   const std::uint64_t e0 = control.SnapshotEpoch();
   Rng rng(21);
   control.Sync(WarmStates(lv.NumModules(), &rng), kUsPerSec);
@@ -203,40 +204,55 @@ TEST(ControlPlaneSnapshot, PardRunsLockFreeAndEpochAdvancesPerSync) {
   EXPECT_EQ(control.SnapshotEpoch(), e0 + 2);
 }
 
-// The snapshot read path must make the same drop decisions as the policy's
-// locked path against the same published state — sharding may not change
-// semantics, only contention. Pinned on the deterministic upper-bound wait
-// mode: the sweet-spot Monte-Carlo term intentionally diverges bit-wise
-// between the paths (the snapshot path refreshes from per-module forked
-// streams, the locked path from the lazy shared stream — statistically
-// equivalent, covered by estimator_test's refresh suite), so exact parity
-// is only meaningful where the estimate is RNG-free.
-TEST(ControlPlaneSnapshot, SnapshotDecisionsMatchLockedFallback) {
+// A policy that returns no view has no decision surface: the control plane
+// refuses it at construction.
+TEST(ControlPlaneSnapshot, NullViewFailsAtConstruction) {
+  class NoViewPolicy : public DropPolicy {
+   public:
+    std::shared_ptr<const PolicyView> MakeView() override { return nullptr; }
+    std::string Name() const override { return "no-view"; }
+  };
   const PipelineSpec lv = MakeLiveVideo();
-  StateBoard board_free(lv.NumModules());
-  StateBoard board_locked(lv.NumModules());
-  PardOptions upper;
-  upper.estimator.wait_mode = EstimatorOptions::WaitMode::kUpper;
-  PardPolicy policy_free(upper);
-  PardPolicy policy_locked(upper);
-  ControlPlane::Options locked_options;
-  locked_options.force_locked = true;
-  ControlPlane free_plane(&lv, &policy_free, &board_free);
-  ControlPlane locked_plane(&lv, &policy_locked, &board_locked, locked_options);
-  ASSERT_TRUE(free_plane.LockFree());
-  ASSERT_FALSE(locked_plane.LockFree());
+  StateBoard board(lv.NumModules());
+  NoViewPolicy policy;
+  EXPECT_THROW(ControlPlane(&lv, &policy, &board), CheckError);
+}
+
+// Both substrates decide through the view that the same sync step builds:
+// the simulator calls BuildPolicyView at construction and SyncPolicyView at
+// every tick; ControlPlane runs the same two calls (its refresh fanned
+// across a pool) and serves the view through its snapshot cell. Identical
+// published states must therefore give identical decisions, bit for bit,
+// including the sweet-spot Monte-Carlo term.
+void ExpectSimAndServeDecideAlike(const std::string& name, const PipelineSpec& spec,
+                                  const Request& request_template) {
+  PolicyParams params;
+  params.oc_alpha = 1.0;  // pard-oc sheds every overloaded admission.
+  params.oc_threshold = 1 * kUsPerMs;
+  const std::unique_ptr<DropPolicy> sim_policy = MakePolicy(name, params);
+  const std::unique_ptr<DropPolicy> serve_policy = MakePolicy(name, params);
+  StateBoard sim_board(spec.NumModules());
+  StateBoard serve_board(spec.NumModules());
+  sim_policy->Bind(&spec, &sim_board);
+  BuildPolicyView(*sim_policy, nullptr);
+  ControlPlane plane(&spec, serve_policy.get(), &serve_board);
 
   Rng rng_a(33);
   Rng rng_b(33);  // Identical streams -> identical published states.
-  free_plane.Sync(WarmStates(lv.NumModules(), &rng_a), kUsPerSec);
-  locked_plane.Sync(WarmStates(lv.NumModules(), &rng_b), kUsPerSec);
+  for (ModuleState& state : WarmStates(spec.NumModules(), &rng_a)) {
+    sim_board.Publish(std::move(state));
+  }
+  const std::shared_ptr<const PolicyView> view =
+      SyncPolicyView(*sim_policy, kUsPerSec, nullptr).view;
+  plane.Sync(WarmStates(spec.NumModules(), &rng_b), kUsPerSec);
 
-  Request req;
+  Rng admission_rng(5);
+  Request req = request_template;
   req.id = 1;
-  req.slo = lv.slo();
-  req.hops.resize(static_cast<std::size_t>(lv.NumModules()));
+  req.slo = spec.slo();
+  req.hops.resize(static_cast<std::size_t>(spec.NumModules()));
   int drops = 0;
-  for (int m = 0; m < lv.NumModules(); ++m) {
+  for (int m = 0; m < spec.NumModules(); ++m) {
     for (Duration age = 0; age <= req.slo + 20 * kUsPerMs; age += 5 * kUsPerMs) {
       req.sent = kUsPerSec;
       req.deadline = req.sent + req.slo;
@@ -248,16 +264,29 @@ TEST(ControlPlaneSnapshot, SnapshotDecisionsMatchLockedFallback) {
       ctx.batch_start = now;
       ctx.batch_duration = 10 * kUsPerMs;
       ctx.batch_size = 8;
-      const bool snap = free_plane.ShouldDrop(ctx);
-      const bool locked = locked_plane.ShouldDrop(ctx);
-      EXPECT_EQ(snap, locked) << "module " << m << " age " << age;
-      drops += snap ? 1 : 0;
-      EXPECT_EQ(free_plane.ChoosePopSide(m, now), locked_plane.ChoosePopSide(m, now));
-      EXPECT_EQ(free_plane.AdmitAtModule(req, m, now), locked_plane.AdmitAtModule(req, m, now));
+      const bool sim_drop = view->ShouldDrop(ctx);
+      EXPECT_EQ(sim_drop, plane.ShouldDrop(ctx)) << name << " module " << m << " age " << age;
+      EXPECT_EQ(view->ChoosePopSide(m, now), plane.ChoosePopSide(m, now)) << name;
+      Rng* rng = view->NeedsAdmissionRng() ? &admission_rng : nullptr;
+      const bool sim_admit = view->AdmitAtModule(req, m, now, rng);
+      EXPECT_EQ(sim_admit, plane.AdmitAtModule(req, m, now)) << name << " module " << m;
+      drops += (sim_drop || !sim_admit) ? 1 : 0;
     }
   }
   // The grid must exercise both outcomes, or the parity check is vacuous.
-  EXPECT_GT(drops, 0);
+  EXPECT_GT(drops, 0) << name;
+}
+
+TEST(ControlPlaneSnapshot, SimulatorAndControlPlaneDecideAlike) {
+  const PipelineSpec lv = MakeLiveVideo();
+  for (const char* name : {"pard", "clipper++", "pard-oc"}) {
+    ExpectSimAndServeDecideAlike(name, lv, Request());
+  }
+  // pard-path on the dynamic DAG, for a request that took the face branch.
+  Request via_face;
+  via_face.branch_choice.assign(5, -1);
+  via_face.branch_choice[0] = 2;
+  ExpectSimAndServeDecideAlike("pard-path", MakeDagLiveVideo(), via_face);
 }
 
 }  // namespace

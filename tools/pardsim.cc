@@ -122,14 +122,11 @@ pard::FlagSet BuildFlags() {
                "serving mode: broker threads fanning injected requests into the "
                "pipeline (N > 1 admits concurrently through the lock-free control "
                "plane; delivery order across brokers is approximate)");
-  flags.AddBool("parallel-refresh", true,
-                "serving mode: fan the incremental estimator refresh across a "
-                "thread pool at every control sync (per-module RNG streams keep "
-                "results identical at any thread count); false = refresh inline "
-                "on the control thread");
   flags.AddInt("refresh-threads", 0,
-               "serving mode: estimator refresh-pool threads (0 = one per "
-               "hardware thread); ignored without --parallel-refresh");
+               "serving mode: threads fanning the incremental estimator refresh "
+               "at every control sync (0 = one per hardware thread, 1 = inline "
+               "on the control thread; per-module RNG streams keep results "
+               "identical at any thread count)");
   flags.AddString("trace-out", "",
                   "write a Chrome trace-event JSON of per-request lifecycle spans "
                   "to this path (load at https://ui.perfetto.dev); empty = tracing off");
@@ -357,7 +354,6 @@ int main(int argc, char** argv) {
                    static_cast<long long>(refresh_threads));
       return 2;
     }
-    serve.parallel_refresh = flags.GetBool("parallel-refresh");
     serve.refresh_threads = static_cast<int>(refresh_threads);
     if (shards > 1) {
       std::fprintf(stderr, "--serve and --shards are mutually exclusive\n");
