@@ -12,10 +12,11 @@
 //
 // Machine-readable output: pass --json to emit the google-benchmark JSON
 // format on stdout (an alias for --benchmark_format=json). The checked-in
-// bench/BENCH_PR3.json is the pre-slab-kernel baseline captured with
-//   micro_overhead --json > bench/BENCH_PR3.json
-// and is the reference future perf work regresses against (see README
-// "Performance").
+// bench/BENCH_PR*.json baselines were captured with
+//   micro_overhead --json > bench/BENCH_PRn.json
+// and bench/gates.json names the counters each one gates; run
+//   bench_compare bench/gates.json NOW.json
+// to gate a fresh report (see README "Performance").
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -272,7 +273,7 @@ BENCHMARK(BM_BrokerDecisionColdEpoch);
 // conservative cut: module 15 sits on every downstream path, so dirty=1
 // still recomputes 15 of 16 cache entries — the saving measured here is
 // redraw work, not recompute skips. The 1/4/16 legs are separate named
-// benchmarks so bench_compare can gate each against bench/BENCH_PR10.json.
+// benchmarks so bench/gates.json can gate each one.
 struct SyncRefreshHarness {
   SyncRefreshHarness() : spec(MakeRefreshChain()), board(16) {
     control = std::make_unique<ControlPlane>(&spec, &policy, &board,
@@ -386,8 +387,8 @@ BENCHMARK(BM_StateSyncPayload);
 // what the overload scenario's control loop does every period (compressed
 // here to microbenchmark timescales; the frequent-republication regime the
 // ROADMAP's dynamic-interference item needs). Run at 1, 4 and 8 broker
-// threads. bench_compare gates the counter against bench/BENCH_PR6.json
-// (see tests: bench_compare_pr6_self, and the CI bench-smoke job).
+// threads. bench/gates.json gates the counter against BENCH_PR6 and every
+// later baseline.
 struct AdmissionHarness {
   AdmissionHarness() : spec(MakeLiveVideo()), board(5) {
     control = std::make_unique<ControlPlane>(&spec, &policy, &board);
@@ -484,8 +485,8 @@ BENCHMARK(BM_AdmissionDecisionSnapshot)->Threads(1)->Threads(4)->Threads(8)->Use
 // exactly the extra work ServeRuntime::Deliver does when obs is wired — a
 // striped-counter bump and a sampled trace emit — versus the null-pointer
 // fast path every site reduces to when obs is off. The pair is captured in
-// bench/BENCH_PR7.json and gated in CI: tracing must stay a few-ns tax on a
-// ~µs decision, never a second mutex on the hot path.
+// bench/BENCH_PR7.json and gated by bench/gates.json: tracing must stay a
+// few-ns tax on a ~µs decision, never a second mutex on the hot path.
 void RunObsAdmissionLoop(benchmark::State& state, TraceRecorder* trace,
                          MetricsRegistry* metrics) {
   static AdmissionHarness* harness = new AdmissionHarness();
@@ -712,7 +713,7 @@ BENCHMARK(BM_EndToEndRunTraced)->Unit(benchmark::kMillisecond);
 }  // namespace pard
 
 // BENCHMARK_MAIN plus one alias: --json expands to --benchmark_format=json so
-// tooling (CI bench-smoke, tools/bench_compare.py) has a stable spelling.
+// tooling (CI bench-smoke, tools/bench_compare.cc) has a stable spelling.
 int main(int argc, char** argv) {
   std::vector<char*> args;
   static char json_flag[] = "--benchmark_format=json";

@@ -102,8 +102,19 @@ class TraceRecorder {
   explicit TraceRecorder(const Options& options);
 
   // Deterministic per-request sampling decision. Non-request events (epoch,
-  // fleet, batch) are always recorded.
+  // fleet) are always recorded.
   bool Sampled(std::uint64_t request_id) const;
+
+  // True iff some request in `batch` (a range of request pointers) is
+  // sampled. A batch span is recorded only then, so a run at sample rate 0
+  // exports no per-batch events.
+  template <typename Batch>
+  bool AnySampled(const Batch& batch) const {
+    for (const auto& req : batch) {
+      if (Sampled(req->id)) return true;
+    }
+    return false;
+  }
 
   // Emit into the calling thread's shard (registered lazily on first use).
   void Emit(const TraceEvent& ev) { ThisThreadShard()->Push(ev); }

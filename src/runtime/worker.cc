@@ -199,7 +199,7 @@ void Worker::OnBatchComplete() {
     module_->batch_size_hist()->Observe(static_cast<double>(count));
   }
   TraceRecorder* trace = module_->pipeline()->trace();
-  if (trace != nullptr) {
+  if (trace != nullptr && trace->AnySampled(done)) {
     TraceEvent batch_ev;
     batch_ev.kind = TraceEventKind::kBatchExec;
     batch_ev.module = module_id;

@@ -502,13 +502,15 @@ void ServeModule::WorkerLoop(ServeWorker* w) {
       batch_size_hist_->Observe(static_cast<double>(batch.size()));
     }
     if (TraceRecorder* trace = runtime_->trace(); trace != nullptr) {
-      TraceEvent batch_ev;
-      batch_ev.kind = TraceEventKind::kBatchExec;
-      batch_ev.module = spec_.id;
-      batch_ev.ts = exec_start;
-      batch_ev.dur = exec_end - exec_start;
-      batch_ev.arg0 = static_cast<std::int64_t>(batch.size());
-      trace->Emit(batch_ev);
+      if (trace->AnySampled(batch)) {
+        TraceEvent batch_ev;
+        batch_ev.kind = TraceEventKind::kBatchExec;
+        batch_ev.module = spec_.id;
+        batch_ev.ts = exec_start;
+        batch_ev.dur = exec_end - exec_start;
+        batch_ev.arg0 = static_cast<std::int64_t>(batch.size());
+        trace->Emit(batch_ev);
+      }
       for (const RequestPtr& req : batch) {
         if (!trace->Sampled(req->id)) {
           continue;

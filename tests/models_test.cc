@@ -3,9 +3,7 @@
 #include <string>
 
 #include "common/check.h"
-#include "common/rng.h"
 #include "models/model_profile.h"
-#include "models/profiler.h"
 #include "models/registry.h"
 
 namespace pard {
@@ -77,48 +75,6 @@ TEST(ProfileRegistry, ProfilesAreMonotoneInBatch) {
       EXPECT_GE(p.BatchDuration(b), p.BatchDuration(b - 1)) << name << " batch " << b;
     }
   }
-}
-
-TEST(OfflineProfiler, RecoversTruthWithinNoise) {
-  ProfilerOptions options;
-  options.max_batch = 16;
-  options.noise = 0.02;
-  OfflineProfiler profiler(options, Rng(3));
-  const ModelProfile p =
-      profiler.Profile("m", [](int b) { return 5000 + 1000 * static_cast<Duration>(b); });
-  for (int b = 1; b <= 16; ++b) {
-    const double truth = 5000.0 + 1000.0 * b;
-    EXPECT_NEAR(static_cast<double>(p.BatchDuration(b)), truth, truth * 0.05) << "b=" << b;
-  }
-}
-
-TEST(OfflineProfiler, OutputIsMonotone) {
-  ProfilerOptions options;
-  options.max_batch = 32;
-  options.noise = 0.2;  // Heavy noise would break monotonicity without the fixup.
-  OfflineProfiler profiler(options, Rng(4));
-  const ModelProfile p =
-      profiler.Profile("m", [](int b) { return 2000 + 100 * static_cast<Duration>(b); });
-  for (int b = 2; b <= 32; ++b) {
-    EXPECT_GE(p.BatchDuration(b), p.BatchDuration(b - 1));
-  }
-}
-
-TEST(OfflineProfiler, Deterministic) {
-  ProfilerOptions options;
-  OfflineProfiler a(options, Rng(9));
-  OfflineProfiler b(options, Rng(9));
-  const auto fn = [](int batch) { return 1000 * static_cast<Duration>(batch); };
-  const ModelProfile pa = a.Profile("m", fn);
-  const ModelProfile pb = b.Profile("m", fn);
-  for (int batch = 1; batch <= options.max_batch; ++batch) {
-    EXPECT_EQ(pa.BatchDuration(batch), pb.BatchDuration(batch));
-  }
-}
-
-TEST(OfflineProfiler, RejectsNonPositiveLatency) {
-  OfflineProfiler profiler(ProfilerOptions{}, Rng(1));
-  EXPECT_THROW(profiler.Profile("m", [](int) { return Duration{0}; }), CheckError);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 //   - Sampling is a deterministic function of (request_id, seed), so a sim
 //     run replays to a bit-identical trace — asserted end to end by running
 //     the same experiment twice and comparing exported JSON strings.
+//   - A batch span is recorded only when one of its requests is sampled.
 //   - AtomicHistogram routes under/overflow (and NaN) to dedicated buckets
 //     and refuses to Merge across different layouts.
 //   - Striped counters tally exactly under concurrent writers.
@@ -17,6 +18,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -144,6 +146,45 @@ TEST(TraceRecorder, WiringTraceDoesNotChangeSimOutcomes) {
     const RequestPtr& b = traced.analysis->requests()[i];
     ASSERT_EQ(a->fate, b->fate) << i;
     ASSERT_EQ(a->finish, b->finish) << i;
+  }
+}
+
+TEST(TraceRecorder, BatchSpansFollowTheSampleRate) {
+  // A batch span is recorded only when one of its requests is sampled: at
+  // rate 0 the export holds no batch spans at all, and at rate 1 it holds
+  // exactly one per executed batch (one batch_size observation each).
+  for (const double rate : {0.0, 1.0}) {
+    ExperimentConfig config = TracedSimConfig();
+    TraceRecorder::Options options;
+    options.sample_rate = rate;
+    options.seed = config.seed;
+    TraceRecorder recorder(options);
+    MetricsRegistry registry;
+    config.runtime.trace = &recorder;
+    config.runtime.metrics = &registry;
+    RunExperiment(config);
+
+    const JsonValue doc = ParseJson(recorder.ChromeTraceJson());
+    ASSERT_EQ(doc.At("otherData").At("dropped_events").AsInt(), 0);
+    std::int64_t batch_spans = 0;
+    for (const JsonValue& ev : doc.At("traceEvents").AsArray()) {
+      batch_spans += ev.At("name").AsString() == "batch" ? 1 : 0;
+    }
+    std::int64_t batches = 0;
+    const std::string suffix = ".batch_size";
+    const JsonValue metrics = registry.ToJson();
+    for (const auto& [name, hist] : metrics.At("histograms").AsObject()) {
+      if (name.size() <= suffix.size() ||
+          name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
+        continue;
+      }
+      batches += hist.At("underflow").AsInt() + hist.At("overflow").AsInt();
+      for (const JsonValue& count : hist.At("counts").AsArray()) {
+        batches += count.AsInt();
+      }
+    }
+    ASSERT_GT(batches, 0);
+    EXPECT_EQ(batch_spans, rate == 0.0 ? 0 : batches) << "rate " << rate;
   }
 }
 

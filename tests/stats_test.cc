@@ -6,7 +6,6 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "stats/empirical_distribution.h"
-#include "stats/histogram.h"
 #include "stats/reservoir.h"
 #include "stats/running_stat.h"
 #include "stats/sliding_window.h"
@@ -210,36 +209,6 @@ TEST(EmpiricalDistribution, QuantileMonotoneProperty) {
     EXPECT_GE(cur, prev);
     prev = cur;
   }
-}
-
-// ---- Histogram -----------------------------------------------------------------
-
-TEST(Histogram, QuantileApproximatesData) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) {
-    h.Add(static_cast<double>(i));
-  }
-  EXPECT_NEAR(h.Quantile(0.5), 50.0, 2.0);
-  EXPECT_NEAR(h.Quantile(0.9), 90.0, 2.0);
-}
-
-TEST(Histogram, CdfAtBounds) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(5.0);
-  EXPECT_DOUBLE_EQ(h.CdfAt(10.0), 1.0);
-  EXPECT_DOUBLE_EQ(h.CdfAt(-1.0), 0.0);
-}
-
-TEST(Histogram, OverflowAndUnderflowCounted) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(-5.0);
-  h.Add(50.0);
-  EXPECT_EQ(h.Count(), 2);
-  EXPECT_DOUBLE_EQ(h.CdfAt(-1.0), 0.5);
-}
-
-TEST(Histogram, RejectsBadBounds) {
-  EXPECT_THROW(Histogram(5.0, 5.0, 10), CheckError);
 }
 
 }  // namespace

@@ -1,31 +1,32 @@
 // bench_compare — CI perf-regression gate over micro_overhead --json output.
 //
-// Diffs a current Google-Benchmark JSON report against a checked-in baseline
-// (bench/BENCH_PR3.json) and fails when any *gated* counter slowed down by
-// more than the threshold:
+// Every gate lives in one manifest, bench/gates.json: each entry names a
+// checked-in baseline report, a bound, and the counter-name substrings it
+// gates. Gate mode diffs a current Google-Benchmark JSON report against every
+// entry and fails when a gated counter slowed past (1 + bound) x its
+// baseline row:
 //
-//   bench_compare bench/BENCH_PR3.json now.json --threshold 0.30 --report compare.txt
+//   bench_compare bench/gates.json now.json --report compare.txt
 //
-// A second mode renders the per-PR baseline series as a markdown trajectory
-// table (the perf dashboard the ROADMAP asks for; CI uploads it as an
-// artifact):
-//
-//   bench_compare --history bench/BENCH_PR3.json bench/BENCH_PR4.json bench/BENCH_PR5.json
-//                 --report bench_history.md
-//
-// Default gates cover the hot-path counters the PR 3 overhaul engineered:
-// event schedule/fire, schedule/cancel, and the warm-epoch broker decision.
-// A gated benchmark missing from the current report is itself a failure
-// (deleting a counter must not silently pass the gate). Exit codes:
-//   0 = all gated counters within threshold
+// A gated counter missing from the current report is itself a failure
+// (deleting a counter must not silently pass the gate), and a gate that
+// matches no baseline row with a positive cpu_time is refused as vacuous.
+// A "HOST MISMATCH:" line names each baseline measured on a host whose CPU
+// count, clock or benchmark-library build differs from the current
+// report's; it informs and changes no verdict. Exit codes:
+//   0 = all gated counters within their bounds
 //   1 = regression (or gated counter missing)
-//   2 = usage / IO / malformed report
+//   2 = usage / IO / malformed manifest or report / vacuous gate
 //
-// Perf noise note: CI runners are noisy, which is why the gate compares
-// against the deliberately conservative pre-overhaul baseline with a wide
-// threshold — it catches "accidentally made the broker 2x slower" classes
-// of regression, not single-digit drift. The full comparison table is
-// written to --report for the uploaded artifact.
+// A second mode renders the manifest's ordered baseline series, plus any
+// extra reports given after it, as a markdown trajectory table (the perf
+// dashboard CI uploads as an artifact):
+//
+//   bench_compare --history bench/gates.json now.json --report bench_history.md
+//
+// Perf noise note: CI runners are noisy, which is why the bounds are wide —
+// they catch "accidentally made the broker 2x slower" classes of
+// regression, not single-digit drift.
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -64,9 +65,48 @@ std::string ReadFile(const std::string& path) {
   return text;
 }
 
-// name -> normalized cpu_time in ns, per-iteration rows only.
-std::map<std::string, BenchRow> LoadReport(const std::string& path) {
+// Writes `text` to `path` unless `path` is empty; false (after saying so on
+// stderr) when the file cannot be written.
+bool WriteIfRequested(const std::string& path, const std::string& text) {
+  if (path.empty()) {
+    return true;
+  }
+  FILE* out = std::fopen(path.c_str(), "wb");
+  if (out == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::fwrite(text.data(), 1, text.size(), out);
+  std::fclose(out);
+  return true;
+}
+
+// "num_cpus=1 mhz_per_cpu=2100 library_build_type=debug" from a report's
+// context block; a missing field reads "?".
+std::string HostOf(const pard::JsonValue& doc) {
+  const pard::JsonValue* context = doc.Find("context");
+  std::string host;
+  for (const char* key : {"num_cpus", "mhz_per_cpu", "library_build_type"}) {
+    const pard::JsonValue* value = context != nullptr ? context->Find(key) : nullptr;
+    std::string text = "?";
+    if (value != nullptr && value->IsNumber()) {
+      text = pard::StrFormat("%g", value->AsDouble());
+    } else if (value != nullptr && value->IsString()) {
+      text = value->AsString();
+    }
+    host += (host.empty() ? "" : " ") + std::string(key) + "=" + text;
+  }
+  return host;
+}
+
+// name -> normalized cpu_time in ns, per-iteration rows only. `host`, when
+// given, receives HostOf(report).
+std::map<std::string, BenchRow> LoadReport(const std::string& path,
+                                           std::string* host = nullptr) {
   const pard::JsonValue doc = pard::ParseJson(ReadFile(path));
+  if (host != nullptr) {
+    *host = HostOf(doc);
+  }
   const pard::JsonValue* benchmarks = doc.Find("benchmarks");
   PARD_CHECK_MSG(benchmarks != nullptr && benchmarks->IsArray(),
                  path + " has no \"benchmarks\" array (is this --json output?)");
@@ -105,6 +145,150 @@ std::string FileLabel(const std::string& path) {
   return label;
 }
 
+// One manifest entry: the counters gated against one baseline.
+struct Gate {
+  std::string baseline;  // path, resolved against the manifest's directory
+  double bound = 0.0;    // fail once current / baseline > 1 + bound
+  std::vector<std::string> counters;  // benchmark-name substrings
+};
+
+struct Manifest {
+  std::vector<std::string> history;  // baseline paths, oldest first
+  std::vector<Gate> gates;
+};
+
+Manifest LoadManifest(const std::string& path) {
+  const std::size_t slash = path.find_last_of("/\\");
+  const std::string dir = slash == std::string::npos ? "" : path.substr(0, slash + 1);
+  const pard::JsonValue doc = pard::ParseJson(ReadFile(path));
+  Manifest manifest;
+  for (const pard::JsonValue& entry : doc.At("history").AsArray()) {
+    manifest.history.push_back(dir + entry.AsString());
+  }
+  PARD_CHECK_MSG(!manifest.history.empty(), path << ": \"history\" is empty");
+  for (const pard::JsonValue& entry : doc.At("gates").AsArray()) {
+    Gate gate;
+    gate.baseline = dir + entry.At("baseline").AsString();
+    gate.bound = entry.At("bound").AsDouble();
+    PARD_CHECK_MSG(gate.bound > 0.0 && std::isfinite(gate.bound),
+                   path << ": gate on " << gate.baseline << " needs a positive bound");
+    for (const pard::JsonValue& counter : entry.At("counters").AsArray()) {
+      gate.counters.push_back(counter.AsString());
+    }
+    PARD_CHECK_MSG(!gate.counters.empty(),
+                   path << ": gate on " << gate.baseline << " names no counters");
+    manifest.gates.push_back(std::move(gate));
+  }
+  return manifest;
+}
+
+// Gates every manifest entry against one current report.
+int RunGates(const Manifest& manifest, const std::string& current_path,
+             const std::string& report_path) {
+  if (manifest.gates.empty()) {
+    std::fprintf(stderr, "bench_compare: the manifest has no gates\n");
+    return 2;
+  }
+  std::string current_host;
+  std::map<std::string, BenchRow> current;
+  std::vector<std::map<std::string, BenchRow>> baselines;
+  std::vector<std::string> baseline_hosts(manifest.gates.size());
+  try {
+    current = LoadReport(current_path, &current_host);
+    for (std::size_t i = 0; i < manifest.gates.size(); ++i) {
+      baselines.push_back(LoadReport(manifest.gates[i].baseline, &baseline_hosts[i]));
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_compare: %s\n", e.what());
+    return 2;
+  }
+
+  // Every counter must anchor to at least one usable baseline row — a
+  // baseline captured from a truncated run (or with a zero timing) would
+  // otherwise silently stop gating the very counter the gate exists for.
+  for (std::size_t i = 0; i < manifest.gates.size(); ++i) {
+    for (const std::string& counter : manifest.gates[i].counters) {
+      bool anchored = false;
+      for (const auto& [name, row] : baselines[i]) {
+        if (name.find(counter) != std::string::npos && row.cpu_time_ns > 0.0) {
+          anchored = true;
+          break;
+        }
+      }
+      if (!anchored) {
+        std::fprintf(stderr,
+                     "bench_compare: gate \"%s\" matches no baseline benchmark with a "
+                     "positive cpu_time in %s — refusing to run a vacuous gate\n",
+                     counter.c_str(), manifest.gates[i].baseline.c_str());
+        return 2;
+      }
+    }
+  }
+
+  std::string table;
+  std::string mismatches;
+  std::vector<std::string> failures;
+  int gated_seen = 0;
+  for (std::size_t i = 0; i < manifest.gates.size(); ++i) {
+    const Gate& gate = manifest.gates[i];
+    const std::string label = FileLabel(gate.baseline);
+    const double limit = 1.0 + gate.bound;
+    table += pard::StrFormat("%s%s (limit %.2fx)\n%-40s %14s %14s %8s  %s\n",
+                             i == 0 ? "" : "\n", label.c_str(), limit, "benchmark",
+                             "baseline(ns)", "current(ns)", "ratio", "verdict");
+    for (const auto& [name, base_row] : baselines[i]) {
+      if (!IsGated(name, gate.counters)) {
+        continue;
+      }
+      const auto it = current.find(name);
+      if (it == current.end()) {
+        failures.push_back(label + ": " + name + " missing from current report");
+        table += pard::StrFormat("%-40s %14.1f %14s %8s  MISSING\n", name.c_str(),
+                                 base_row.cpu_time_ns, "-", "-");
+        continue;
+      }
+      ++gated_seen;
+      const double ratio = base_row.cpu_time_ns > 0.0
+                               ? it->second.cpu_time_ns / base_row.cpu_time_ns
+                               : 0.0;
+      const bool regressed = ratio > limit;
+      if (regressed) {
+        failures.push_back(pard::StrFormat("%s: %s slowed %.2fx (limit %.2fx)", label.c_str(),
+                                           name.c_str(), ratio, limit));
+      }
+      table += pard::StrFormat("%-40s %14.1f %14.1f %8.3f  %s\n", name.c_str(),
+                               base_row.cpu_time_ns, it->second.cpu_time_ns, ratio,
+                               regressed ? "REGRESSED" : "ok");
+    }
+    if (baseline_hosts[i] != current_host) {
+      mismatches += "HOST MISMATCH: " + label + " (" + baseline_hosts[i] + ") vs current (" +
+                    current_host + ")\n";
+    }
+  }
+
+  std::string summary = "\n" + mismatches;
+  if (failures.empty()) {
+    summary += pard::StrFormat("PASS: %d gated counters within bounds across %zu gates\n",
+                               gated_seen, manifest.gates.size());
+  } else {
+    summary += pard::StrFormat("FAIL: %zu gated regression(s):\n", failures.size());
+    for (const std::string& failure : failures) {
+      summary += "  - " + failure + "\n";
+    }
+  }
+  std::printf("%s%s", table.c_str(), summary.c_str());
+  if (!WriteIfRequested(report_path, table + summary)) {
+    return 2;
+  }
+  return failures.empty() ? 0 : 1;
+}
+
+// Drift in --history: a run of 3+ consecutive reports where every step
+// slows by at most kDriftStep (so no single gate step would catch it) and
+// the run as a whole by more than kDriftTotal.
+constexpr double kDriftStep = 0.30;
+constexpr double kDriftTotal = 0.25;
+
 // --history: renders the baseline series as a markdown trajectory table.
 // Rows are the union of benchmark names; the final column is the
 // newest/oldest ratio (blank when either end is missing). Exit 0 on
@@ -114,17 +298,16 @@ std::string FileLabel(const std::string& path) {
 // Drift detection: the per-PR gate only sees one step, so a counter can
 // creep +20% every PR forever without tripping a +30% threshold. The
 // history view flags exactly that shape — a run of 3+ consecutive reports
-// where every step slows down but stays under the per-step gate
-// (step_threshold), and the cumulative slowdown exceeds drift_threshold —
-// with a "DRIFT:" line after the table. Informational only (exit stays 0):
+// where every step slows down but stays under kDriftStep, and the
+// cumulative slowdown exceeds kDriftTotal — with a "DRIFT:" line after the
+// table. Informational only (exit stays 0):
 // a human decides whether the trend is intentional, but CI logs make it
 // impossible to miss.
 std::string RenderHistoryHtml(const std::vector<std::map<std::string, BenchRow>>& reports,
                               const std::vector<std::string>& labels);
 
 int RenderHistory(const std::vector<std::string>& paths, const std::string& report_path,
-                  const std::string& html_path, double step_threshold,
-                  double drift_threshold) {
+                  const std::string& html_path) {
   std::vector<std::map<std::string, BenchRow>> reports;
   std::vector<std::string> labels;
   try {
@@ -214,18 +397,18 @@ int RenderHistory(const std::vector<std::string>& paths, const std::string& repo
       }
       for (std::size_t i = 1; i < series.size(); ++i) {
         const double step = series[i] / series[i - 1];
-        if (step < 1.0 || step > 1.0 + step_threshold) {
+        if (step < 1.0 || step > 1.0 + kDriftStep) {
           return;  // Not a monotone creep, or a step the gate would catch.
         }
       }
       const double total = series.back() / series.front();
-      if (total > 1.0 + drift_threshold) {
+      if (total > 1.0 + kDriftTotal) {
         drift += pard::StrFormat("DRIFT: %s +%.0f%% over %zu reports (%s..%s, each step under "
                                  "+%.0f%%)\n",
                                  name.c_str(), 100.0 * (total - 1.0), series.size(),
                                  labels[start].c_str(),
                                  labels[start + series.size() - 1].c_str(),
-                                 100.0 * step_threshold);
+                                 100.0 * kDriftStep);
       }
     };
     for (std::size_t i = 0; i < reports.size(); ++i) {
@@ -246,24 +429,10 @@ int RenderHistory(const std::vector<std::string>& paths, const std::string& repo
     table += "\n" + drift;
   }
   std::printf("%s", table.c_str());
-  if (!report_path.empty()) {
-    FILE* out = std::fopen(report_path.c_str(), "wb");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", report_path.c_str());
-      return 2;
-    }
-    std::fwrite(table.data(), 1, table.size(), out);
-    std::fclose(out);
-  }
-  if (!html_path.empty()) {
-    const std::string html = RenderHistoryHtml(reports, labels);
-    FILE* out = std::fopen(html_path.c_str(), "wb");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", html_path.c_str());
-      return 2;
-    }
-    std::fwrite(html.data(), 1, html.size(), out);
-    std::fclose(out);
+  if (!WriteIfRequested(report_path, table) ||
+      (!html_path.empty() &&
+       !WriteIfRequested(html_path, RenderHistoryHtml(reports, labels)))) {
+    return 2;
   }
   return 0;
 }
@@ -426,152 +595,38 @@ std::string RenderHistoryHtml(const std::vector<std::map<std::string, BenchRow>>
 
 int main(int argc, char** argv) {
   pard::FlagSet flags;
-  flags.AddDouble("threshold", 0.30,
-                  "maximum tolerated slowdown of a gated counter (0.30 = +30%)");
-  flags.AddString("gates", "BM_EventScheduleFire,BM_EventScheduleCancel,BM_BrokerDecisionWarmEpoch",
-                  "comma-separated name substrings whose slowdown fails the gate");
-  flags.AddString("report", "", "also write the comparison table to this file");
-  flags.AddDouble("drift-threshold", 0.25,
-                  "--history: flag a benchmark whose cpu time creeps up monotonically "
-                  "across 3+ reports, each step within --threshold, by more than this "
-                  "in total (0.25 = +25%)");
+  flags.AddString("report", "", "also write the comparison (or trajectory) table to this file");
   flags.AddBool("history", false,
-                "render the given reports (oldest first, e.g. the bench/BENCH_PR*.json "
-                "series) as a markdown trajectory table instead of gating");
+                "render the manifest's baseline series, plus any reports given after it, "
+                "as a markdown trajectory table instead of gating");
   flags.AddString("html", "",
                   "--history: also write a standalone HTML/SVG chart of the series "
                   "(normalized per-benchmark polylines) to this file");
+  const char* gate_usage = "bench_compare <gates.json> <current.json>";
+  const char* history_usage = "bench_compare --history <gates.json> [report.json ...]";
   try {
     flags.Parse(argc - 1, argv + 1);
   } catch (const pard::CheckError& e) {
-    std::fprintf(stderr, "%s\n%s", e.what(),
-                 flags.Usage("bench_compare <baseline.json> <current.json>").c_str());
+    std::fprintf(stderr, "%s\n%s", e.what(), flags.Usage(gate_usage).c_str());
     return 2;
   }
-  if (flags.GetBool("history")) {
-    if (flags.HelpRequested() || flags.positional().empty()) {
-      std::printf("%s", flags.Usage("bench_compare --history <oldest.json> ... <newest.json>")
-                            .c_str());
-      return flags.HelpRequested() ? 0 : 2;
-    }
-    const double drift = flags.GetDouble("drift-threshold");
-    if (!(drift > 0.0) || !std::isfinite(drift)) {
-      std::fprintf(stderr, "--drift-threshold must be a positive number (got %g)\n", drift);
-      return 2;
-    }
-    return RenderHistory(flags.positional(), flags.GetString("report"),
-                         flags.GetString("html"), flags.GetDouble("threshold"), drift);
-  }
-  if (flags.HelpRequested() || flags.positional().size() != 2) {
-    std::printf("%s", flags.Usage("bench_compare <baseline.json> <current.json>").c_str());
+  const bool history = flags.GetBool("history");
+  const std::vector<std::string>& args = flags.positional();
+  if (flags.HelpRequested() || (history ? args.empty() : args.size() != 2)) {
+    std::printf("%s", flags.Usage(history ? history_usage : gate_usage).c_str());
     return flags.HelpRequested() ? 0 : 2;
   }
-  const double threshold = flags.GetDouble("threshold");
-  if (!(threshold > 0.0) || !std::isfinite(threshold)) {
-    std::fprintf(stderr, "--threshold must be a positive number (got %g)\n", threshold);
-    return 2;
-  }
-  std::vector<std::string> gates;
-  for (const std::string& gate : pard::Split(flags.GetString("gates"), ',')) {
-    const std::string trimmed(pard::Trim(gate));
-    if (!trimmed.empty()) {
-      gates.push_back(trimmed);
-    }
-  }
-  if (gates.empty()) {
-    std::fprintf(stderr, "--gates must name at least one counter\n");
-    return 2;
-  }
-
-  std::map<std::string, BenchRow> baseline;
-  std::map<std::string, BenchRow> current;
+  Manifest manifest;
   try {
-    baseline = LoadReport(flags.positional()[0]);
-    current = LoadReport(flags.positional()[1]);
+    manifest = LoadManifest(args[0]);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench_compare: %s\n", e.what());
     return 2;
   }
-
-  // Every gate must anchor to at least one usable baseline row — a baseline
-  // captured from a truncated run (or with a zero timing) would otherwise
-  // silently stop gating the very counter the gate exists for.
-  for (const std::string& gate : gates) {
-    bool anchored = false;
-    for (const auto& [name, row] : baseline) {
-      if (name.find(gate) != std::string::npos && row.cpu_time_ns > 0.0) {
-        anchored = true;
-        break;
-      }
-    }
-    if (!anchored) {
-      std::fprintf(stderr,
-                   "bench_compare: gate \"%s\" matches no baseline benchmark with a "
-                   "positive cpu_time in %s — refusing to run a vacuous gate\n",
-                   gate.c_str(), flags.positional()[0].c_str());
-      return 2;
-    }
+  if (history) {
+    std::vector<std::string> paths = manifest.history;
+    paths.insert(paths.end(), args.begin() + 1, args.end());
+    return RenderHistory(paths, flags.GetString("report"), flags.GetString("html"));
   }
-
-  std::string table = pard::StrFormat("%-40s %14s %14s %8s  %s\n", "benchmark",
-                                      "baseline(ns)", "current(ns)", "ratio", "verdict");
-  std::vector<std::string> failures;
-  int gated_seen = 0;
-  for (const auto& [name, base_row] : baseline) {
-    const bool gated = IsGated(name, gates);
-    const auto it = current.find(name);
-    if (it == current.end()) {
-      if (gated) {
-        failures.push_back(name + " missing from current report");
-        table += pard::StrFormat("%-40s %14.1f %14s %8s  GATED MISSING\n", name.c_str(),
-                                 base_row.cpu_time_ns, "-", "-");
-      }
-      continue;
-    }
-    const double ratio = base_row.cpu_time_ns > 0.0
-                             ? it->second.cpu_time_ns / base_row.cpu_time_ns
-                             : 0.0;
-    const bool regressed = gated && ratio > 1.0 + threshold;
-    if (gated) {
-      ++gated_seen;
-    }
-    if (regressed) {
-      failures.push_back(pard::StrFormat("%s slowed %.2fx (limit %.2fx)", name.c_str(), ratio,
-                                         1.0 + threshold));
-    }
-    table += pard::StrFormat("%-40s %14.1f %14.1f %8.3f  %s\n", name.c_str(),
-                             base_row.cpu_time_ns, it->second.cpu_time_ns, ratio,
-                             regressed  ? "REGRESSED"
-                             : gated    ? "ok (gated)"
-                                        : "ok");
-  }
-  if (gated_seen == 0 && failures.empty()) {
-    std::fprintf(stderr, "bench_compare: no gated benchmark matched %s\n",
-                 flags.GetString("gates").c_str());
-    return 2;
-  }
-
-  std::string summary;
-  if (failures.empty()) {
-    summary = pard::StrFormat("PASS: %d gated counters within +%.0f%% of baseline\n",
-                              gated_seen, 100.0 * threshold);
-  } else {
-    summary = pard::StrFormat("FAIL: %zu gated regression(s) beyond +%.0f%%:\n",
-                              failures.size(), 100.0 * threshold);
-    for (const std::string& failure : failures) {
-      summary += "  - " + failure + "\n";
-    }
-  }
-  std::printf("%s%s", table.c_str(), summary.c_str());
-  if (!flags.GetString("report").empty()) {
-    FILE* out = std::fopen(flags.GetString("report").c_str(), "wb");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", flags.GetString("report").c_str());
-      return 2;
-    }
-    std::fwrite(table.data(), 1, table.size(), out);
-    std::fwrite(summary.data(), 1, summary.size(), out);
-    std::fclose(out);
-  }
-  return failures.empty() ? 0 : 1;
+  return RunGates(manifest, args[1], flags.GetString("report"));
 }
