@@ -7,6 +7,7 @@
 //    (paper: asynchronous, no added request latency)
 //  - warm-epoch Request Broker decisions (between state syncs every
 //    admission reuses the epoch-cached estimate)
+//  - one module's state sync with a full 10 000-sample wait reservoir
 //  - state synchronization payload construction (paper: <3.2 kbps/worker)
 //  - end-to-end experiment runs (the number every other speedup rolls into)
 //
@@ -42,6 +43,7 @@
 #include "pipeline/apps.h"
 #include "resilience/chaos.h"
 #include "runtime/backend_fleet.h"
+#include "runtime/pipeline_runtime.h"
 #include "runtime/request.h"
 #include "runtime/request_queue.h"
 #include "runtime/state_board.h"
@@ -352,6 +354,42 @@ void BM_ControlSyncRefresh16Modules(benchmark::State& state) {
   RunControlSyncRefresh(state, 16);
 }
 BENCHMARK(BM_ControlSyncRefresh16Modules)->Unit(benchmark::kMicrosecond);
+
+// --- Module sync: wait reservoir ---------------------------------------------
+
+// One ModuleRuntime::Sync of a module whose wait reservoir holds the paper's
+// M = 10 000 samples, after k = Arg new batch waits since the previous sync:
+// the State Planner's once-per-second, per-module publish. Re-sorting all M
+// samples made this O(M log M) whatever k was; the reservoir's sorted mirror
+// makes it O(M + k log k). The k adds themselves run untimed.
+void BM_ModuleSyncReservoir(benchmark::State& state) {
+  const PipelineSpec spec = MakeLiveVideo();
+  RuntimeOptions options;
+  options.fixed_workers = std::vector<int>(static_cast<std::size_t>(spec.NumModules()), 1);
+  PardPolicy policy;
+  PipelineRuntime runtime(spec, options, &policy, 100.0);
+  ModuleRuntime& module = runtime.module(0);
+  StateBoard board(spec.NumModules());
+  Rng rng(23);
+  auto record_waits = [&](std::int64_t n) {
+    for (std::int64_t i = 0; i < n; ++i) {
+      module.RecordBatchWait(0, rng.UniformInt(0, 50 * kUsPerMs));
+    }
+  };
+  record_waits(options.reservoir_capacity);
+  SimTime now = kUsPerSec;
+  module.Sync(now, &board);
+  for (auto _ : state) {
+    state.PauseTiming();
+    record_waits(state.range(0));
+    now += kUsPerSec;
+    state.ResumeTiming();
+    module.Sync(now, &board);
+  }
+  benchmark::DoNotOptimize(board.Get(0).wait_samples.data());
+  state.counters["new_samples"] = benchmark::Counter(static_cast<double>(state.range(0)));
+}
+BENCHMARK(BM_ModuleSyncReservoir)->Arg(64)->Arg(256)->Arg(2048)->Unit(benchmark::kMicrosecond);
 
 void BM_StateSyncPayload(benchmark::State& state) {
   // Serializes the compact module state the paper exchanges once per second

@@ -141,8 +141,7 @@ void ModuleRuntime::Sync(SimTime now, StateBoard* board) {
   state.smoothed_rate = rate_monitor_.Smoothed(now);
   state.load_factor = capacity > 0.0 ? state.smoothed_rate / capacity : 0.0;
   state.burstiness = rate_monitor_.Burstiness(now);
-  state.wait_samples = wait_reservoir_.values();
-  std::sort(state.wait_samples.begin(), state.wait_samples.end());
+  state.wait_samples = wait_reservoir_.Sorted();
   board->Publish(std::move(state));
 }
 

@@ -58,7 +58,9 @@ struct ModuleState {
   double load_factor = 0.0;            // mu = T_in / (T_m * units).
   double burstiness = 0.0;             // eps = sum|T_in - T_s| / sum T_in.
 
-  // Sorted snapshot of recent per-request batch waits (us). Empty until the
+  // Sorted snapshot of recent per-request batch waits (us): a copy of the
+  // module's RecentReservoir::Sorted() mirror (in serve, the shards' mirrors
+  // merged), O(M + k log k) to publish for k new samples. Empty until the
   // module has observed traffic; estimators fall back to the uniform [0, d]
   // model in that case.
   std::vector<double> wait_samples;

@@ -592,8 +592,12 @@ ModuleState ServeModule::Snapshot(SimTime now) {
       any_latency = true;
     }
     merged_rate.Merge(shard.rate_monitor);
-    const std::vector<double>& samples = shard.wait_reservoir.values();
+    // Each shard's run is sorted; merging it onto the runs so far keeps the
+    // union sorted without a final full sort.
+    const std::vector<double>& samples = shard.wait_reservoir.Sorted();
+    const auto merged = static_cast<std::ptrdiff_t>(wait_samples.size());
     wait_samples.insert(wait_samples.end(), samples.begin(), samples.end());
+    std::inplace_merge(wait_samples.begin(), wait_samples.begin() + merged, wait_samples.end());
   }
 
   ModuleState state;
@@ -610,7 +614,6 @@ ModuleState ServeModule::Snapshot(SimTime now) {
   state.load_factor = capacity > 0.0 ? state.smoothed_rate / capacity : 0.0;
   state.burstiness = merged_rate.Burstiness(now);
   state.wait_samples = std::move(wait_samples);
-  std::sort(state.wait_samples.begin(), state.wait_samples.end());
   return state;
 }
 

@@ -49,6 +49,10 @@ constexpr Golden kGoldens[] = {
      0.89494949494949494},
     {"dag-dynamic-pard-path", 81u, 81u, 0u, 0, 0, 54.527609146097639, 1},
     {"sharded-lv-pard", 2524u, 2524u, 0u, 0, 0, 83.872356110061276, 1},
+    {"fig14a-smoke-pard-reservoir1024", 1485u, 1328u, 157u, 0.10572390572390572, 0,
+     567.00960500607994, 0.89427609427609422},
+    {"fig14a-smoke-pard-reservoir256", 1485u, 1328u, 157u, 0.10572390572390572, 0,
+     567.00960500607994, 0.89427609427609422},
 };
 
 void ExpectGolden(const Golden& golden, const ExperimentResult& result) {
@@ -124,6 +128,26 @@ TEST(GoldenDeterminism, Fig14aSmokePardWithExecJitter) {
   ExperimentConfig c = Fig14aSmoke("pard");
   c.runtime.exec_jitter = 0.05;
   ExpectGolden(Find("fig14a-smoke-pard-jitter"), RunExperiment(c));
+}
+
+// Reservoirs smaller than the samples a module sees, harvested before the
+// sorted mirror (stats/reservoir.h) replaced the per-sync full sort. At 1024
+// the ring wraps with fewer new samples per sync than its capacity (the
+// merge-and-evict path); at 256 more samples arrive per sync than it holds
+// (the full-sort fallback). Both equal the fig14a-smoke-pard row: at this
+// scale no decision turns on the reservoir size, so these rows pin that
+// both paths run cleanly inside a run, and stats_test pins the mirror's
+// contents.
+TEST(GoldenDeterminism, Fig14aSmokePardReservoirWrapsBetweenSyncs) {
+  ExperimentConfig c = Fig14aSmoke("pard");
+  c.runtime.reservoir_capacity = 1024;
+  ExpectGolden(Find("fig14a-smoke-pard-reservoir1024"), RunExperiment(c));
+}
+
+TEST(GoldenDeterminism, Fig14aSmokePardReservoirOverflowsBetweenSyncs) {
+  ExperimentConfig c = Fig14aSmoke("pard");
+  c.runtime.reservoir_capacity = 256;
+  ExpectGolden(Find("fig14a-smoke-pard-reservoir256"), RunExperiment(c));
 }
 
 TEST(GoldenDeterminism, DagDynamicPathPrediction) {

@@ -464,6 +464,49 @@ TEST(ServeRuntime, ShardedBrokersWithScalingAndFaultsConserve) {
   EXPECT_GT(result.analysis->DropRate(), 0.0);
 }
 
+// Records, at every state sync, whether each module's published wait
+// samples were sorted and how many there were. OnSync runs on the control
+// thread right after the board publish; the fields are read after RunTrace
+// has joined that thread.
+class WaitSampleProbe : public PardPolicy {
+ public:
+  void OnSync(SimTime now) override {
+    last_sizes.resize(static_cast<std::size_t>(board_->NumModules()));
+    for (int m = 0; m < board_->NumModules(); ++m) {
+      const std::vector<double>& waits = board_->Get(m).wait_samples;
+      all_sorted = all_sorted && std::is_sorted(waits.begin(), waits.end());
+      last_sizes[static_cast<std::size_t>(m)] = waits.size();
+    }
+    ++syncs;
+    PardPolicy::OnSync(now);
+  }
+  bool all_sorted = true;
+  int syncs = 0;
+  std::vector<std::size_t> last_sizes;
+};
+
+TEST(ServeRuntime, SnapshotMergesSortedShardReservoirs) {
+  // Two initial workers per module give two queue shards, each with half of
+  // the 64-sample reservoir. Overload keeps both workers executing, so both
+  // shard reservoirs wrap; the published union of their sorted runs must be
+  // sorted and hold every shard's samples: 2 shards x 32.
+  const PipelineSpec spec = MakeApp("tm");
+  RuntimeOptions options;
+  options.fixed_workers = std::vector<int>(static_cast<std::size_t>(spec.NumModules()), 2);
+  options.reservoir_capacity = 64;
+  ServeOptions serve;
+  serve.speedup = 25.0;
+  WaitSampleProbe probe;
+  ServeRuntime runtime(spec, options, &probe, 400.0, serve);
+  Rng rng(11);
+  runtime.RunTrace(SynthesizePoissonArrivals(400.0, 0, SecToUs(3), rng));
+  ASSERT_GE(probe.syncs, 2);
+  EXPECT_TRUE(probe.all_sorted);
+  for (std::size_t m = 0; m < probe.last_sizes.size(); ++m) {
+    EXPECT_EQ(probe.last_sizes[m], 64u) << "module " << m;
+  }
+}
+
 TEST(ServeRuntime, DropReasonsConserveUnderStructuralOverload) {
   // Observability acceptance, attribution half: under MMPP bursts far beyond
   // a pinned single-worker fleet, many requests drop — and every one of them

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -145,6 +149,46 @@ TEST(RecentReservoir, ClearResets) {
   r.Add(1.0);
   r.Clear();
   EXPECT_TRUE(r.Empty());
+}
+
+// The sorted mirror must equal a fresh sort of the ring after any sequence
+// of adds, whatever the number of adds between reads: none, one, fewer than
+// the capacity (merge and evict), exactly the capacity (every slot replaced),
+// one more than the capacity and over three times the capacity (the
+// full-sort fallback). Every other batch draws from 3 distinct values, so
+// the multiset difference must remove the right count of duplicates; a
+// Clear() lands mid-sequence.
+TEST(RecentReservoir, SortedMatchesSortOfValues) {
+  auto expect_sorted = [](RecentReservoir& r, const std::string& where) {
+    std::vector<double> want = r.values();
+    std::sort(want.begin(), want.end());
+    ASSERT_EQ(r.Sorted(), want) << where;
+  };
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    for (std::size_t capacity : {1u, 7u, 64u}) {
+      RecentReservoir r(capacity);
+      Rng rng(seed);
+      const std::int64_t cap = static_cast<std::int64_t>(capacity);
+      const std::int64_t batches[] = {0, 1, cap / 2 + 1, cap, cap + 1, 3 * cap + 1};
+      const auto last = static_cast<std::int64_t>(std::size(batches)) - 1;
+      for (int step = 0; step < 60; ++step) {
+        const std::int64_t adds = batches[static_cast<std::size_t>(rng.UniformInt(0, last))];
+        const std::int64_t hi = step % 2 == 0 ? 1'000'000 : 2;
+        for (std::int64_t i = 0; i < adds; ++i) {
+          r.Add(static_cast<double>(rng.UniformInt(0, hi)));
+        }
+        if (step == 30) {
+          r.Clear();
+          expect_sorted(r, "after clear");
+        }
+        const std::string where = "seed " + std::to_string(seed) + " capacity " +
+                                  std::to_string(capacity) + " step " + std::to_string(step) +
+                                  " adds " + std::to_string(adds);
+        expect_sorted(r, where);
+        expect_sorted(r, where + " (re-read)");
+      }
+    }
+  }
 }
 
 // ---- EmpiricalDistribution ------------------------------------------------------
